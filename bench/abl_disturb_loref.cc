@@ -28,7 +28,7 @@
  * acceptance ordering holds: LO-REF flips strictly above the all-HI
  * floor, and the guard back within the configured band of it.
  *
- * Every number is bit-identical for any --threads; the CI disturb job
+ * Every number is bit-identical for any --threads; the CI tsan job
  * runs this at 1 and 8 threads and compares digests.
  */
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Hot-path microbench for the MEMCON engine: the streaming k-way
- * merge + deadline-wheel path priced against the reference
- * materialize-then-sort + scan path (MemconConfig::referenceEventPath)
- * on the same synthetic traces. Emits BENCH_micro_engine_ops.json so
+ * merge + deadline-wheel engine priced against the seed
+ * materialize-then-sort + scan engine (the test oracle
+ * oracle::runReferenceEngine, tests/oracle/reference_engine.hh) on
+ * the same synthetic traces. Emits BENCH_micro_engine_ops.json so
  * the events/sec, per-quantum cost, and peak-memory trajectory of the
  * engine is tracked across revisions.
  *
@@ -25,6 +26,7 @@
 #include "common/simd.hh"
 #include "common/table.hh"
 #include "core/engine.hh"
+#include "oracle/reference_engine.hh"
 #include "runner.hh"
 #include "trace/app_model.hh"
 
@@ -54,7 +56,7 @@ syntheticTrace(std::uint64_t seed, std::size_t pages, double duration_ms)
 
 /** The deterministic counters every point reports. */
 bench::Metrics
-counters(const MemconConfig &cfg, const MemconResult &r)
+counters(const MemconConfig &cfg, bool reference, const MemconResult &r)
 {
     double quanta =
         r.durationMs > 0.0 ? r.durationMs / cfg.quantumMs.value() : 0.0;
@@ -62,7 +64,7 @@ counters(const MemconConfig &cfg, const MemconResult &r)
     // path holds every event (16-byte {time, page}); the streaming
     // path holds one 16-byte heap node per concurrently live stream.
     double event_bytes =
-        cfg.referenceEventPath
+        reference
             ? static_cast<double>(r.writes) * 16.0
             : static_cast<double>(r.peakLiveStreams) * 16.0;
     return bench::Metrics{
@@ -77,8 +79,17 @@ counters(const MemconConfig &cfg, const MemconResult &r)
     };
 }
 
+/** One replay of explicit write vectors on either path. */
+MemconResult
+replay(const MemconConfig &cfg, bool reference,
+       const std::vector<std::vector<TimeMs>> &trace, double duration_ms)
+{
+    return reference ? oracle::runReferenceEngine(cfg, trace, duration_ms)
+                     : MemconEngine(cfg).run(trace, duration_ms);
+}
+
 MemconConfig
-scrubbyConfig(bool reference)
+scrubbyConfig()
 {
     MemconConfig cfg;
     cfg.quantumMs = TimeMs{64.0};
@@ -90,7 +101,6 @@ scrubbyConfig(bool reference)
     // at every quantum regardless).
     cfg.testSlotsPer64ms = 4096;
     cfg.scrubPeriodMs = 16384.0;
-    cfg.referenceEventPath = reference;
     return cfg;
 }
 
@@ -129,10 +139,10 @@ main(int argc, char **argv)
             std::string("headline/") + (reference ? "ref" : "stream"),
             [&trace_full, duration_ms,
              reference](const bench::TaskContext &) {
-                MemconConfig cfg = scrubbyConfig(reference);
-                MemconEngine engine(cfg);
-                return counters(cfg,
-                                engine.run(trace_full, duration_ms));
+                MemconConfig cfg = scrubbyConfig();
+                return counters(cfg, reference,
+                                replay(cfg, reference, trace_full,
+                                       duration_ms));
             });
     }
 
@@ -145,10 +155,9 @@ main(int argc, char **argv)
              reference](const bench::TaskContext &) {
                 MemconConfig cfg;
                 cfg.quantumMs = TimeMs{1024.0};
-                cfg.referenceEventPath = reference;
-                MemconEngine engine(cfg);
-                return counters(cfg,
-                                engine.run(trace_full, duration_ms));
+                return counters(cfg, reference,
+                                replay(cfg, reference, trace_full,
+                                       duration_ms));
             });
     }
 
@@ -159,10 +168,10 @@ main(int argc, char **argv)
             std::string("scaled_down/") + (reference ? "ref" : "stream"),
             [&trace_quarter, duration_ms,
              reference](const bench::TaskContext &) {
-                MemconConfig cfg = scrubbyConfig(reference);
-                MemconEngine engine(cfg);
-                return counters(cfg,
-                                engine.run(trace_quarter, duration_ms));
+                MemconConfig cfg = scrubbyConfig();
+                return counters(cfg, reference,
+                                replay(cfg, reference, trace_quarter,
+                                       duration_ms));
             });
     }
 
@@ -179,9 +188,10 @@ main(int argc, char **argv)
                     persona.durationSec = 60.0;
                 }
                 MemconConfig cfg;
-                cfg.referenceEventPath = reference;
-                MemconEngine engine(cfg);
-                return counters(cfg, engine.runOnApp(persona));
+                return counters(
+                    cfg, reference,
+                    reference ? oracle::runReferenceOnApp(cfg, persona)
+                              : MemconEngine(cfg).runOnApp(persona));
             });
     }
 

@@ -2,7 +2,7 @@
  * @file
  * Hot-path microbench for the hardware-modelled bookkeeping paths:
  * the flat-set PRIL predictor priced against the seed hash-set
- * reference (onWrite churn and quantum swap), block content fills
+ * oracle (onWrite churn and quantum swap), block content fills
  * vs the per-word virtual wordAt loop, row compares through the
  * dispatched kernels vs forced scalar, and block row readback vs
  * the sparse per-cell evaluation. Emits BENCH_micro_pril_ops.json
@@ -29,6 +29,7 @@
 #include "core/pril.hh"
 #include "failure/content.hh"
 #include "failure/model.hh"
+#include "oracle/reference_pril.hh"
 #include "runner.hh"
 
 using namespace memcon;
@@ -78,8 +79,8 @@ makeInputs(std::uint64_t seed, bool quick)
 
     // quantum_swap scenario: each quantum writes ~capacity distinct
     // pages, so the buffer fills and the swap pays the full
-    // candidate-extraction cost (sort + node frees on the reference
-    // implementation; map visit + O(1) clear on the flat one).
+    // candidate-extraction cost (sort + node frees on the hash-set
+    // oracle; map visit + O(1) clear on the flat predictor).
     in.swapWritesPerQuantum = kBufferCap;
     in.swapQuanta = quick ? 64 : 512;
     Rng swap_rng(deriveTaskSeed(seed, 2));
@@ -171,7 +172,7 @@ main(int argc, char **argv)
 
     // (a) onWrite churn: hash-set node traffic vs flat-set probes.
     runner.add("onwrite/ref", [&inputs](const bench::TaskContext &) {
-        return runOnWrite<core::ReferencePrilPredictor>(inputs);
+        return runOnWrite<oracle::ReferencePrilPredictor>(inputs);
     });
     runner.add("onwrite/flat", [&inputs](const bench::TaskContext &) {
         return runOnWrite<core::PrilPredictor>(inputs);
@@ -180,7 +181,7 @@ main(int argc, char **argv)
     // (b) quantum swap at full buffers: sorted extraction + node
     // frees vs batched map visit + O(1) epoch clear (target >= 3x).
     runner.add("quantum_swap/ref", [&inputs](const bench::TaskContext &) {
-        return runQuantumSwap<core::ReferencePrilPredictor>(inputs);
+        return runQuantumSwap<oracle::ReferencePrilPredictor>(inputs);
     });
     runner.add("quantum_swap/flat", [&inputs](const bench::TaskContext &) {
         return runQuantumSwap<core::PrilPredictor>(inputs);

@@ -4,14 +4,9 @@
 
 #include "common/checkpoint.hh"
 #include "common/logging.hh"
-#include "common/ordered.hh"
 
 namespace memcon::core
 {
-
-// --------------------------------------------------------------------
-// PrilPredictor: flat-set buffers, batched candidate extraction.
-// --------------------------------------------------------------------
 
 PrilPredictor::PrilPredictor(std::uint64_t num_pages,
                              std::size_t buffer_capacity)
@@ -106,8 +101,8 @@ PrilPredictor::storageBytes() const
     // addresses (modelled at 34 bits, rounded to 5 bytes, per entry
     // as in §6.4's 17 KB for 4000 entries). The flat set's host-side
     // slot array and the derived erased maps are implementation
-    // details, not modelled SRAM, so the accounting matches the
-    // reference predictor exactly.
+    // details, not modelled SRAM, so the accounting matches the seed
+    // hash-set predictor (tests/oracle/reference_pril.hh) exactly.
     return writeMap[0].storageBytes() + writeMap[1].storageBytes() +
            2 * capacity * 5;
 }
@@ -149,102 +144,6 @@ PrilPredictor::stateFingerprint() const
         BitVector members = writeMap[side];
         members.andNotWith(erasedMap[side]);
         members.visitSetBits([&mix](std::size_t bit) { mix(bit); });
-        mix(0x5A5A5A5Aull);
-    }
-    return c;
-}
-
-// --------------------------------------------------------------------
-// ReferencePrilPredictor: the seed hash-set implementation, kept as
-// the priced baseline. Semantics are identical to the flat predictor
-// (the property suite locksteps the two); only the container and the
-// fingerprint ordering differ.
-// --------------------------------------------------------------------
-
-ReferencePrilPredictor::ReferencePrilPredictor(std::uint64_t num_pages,
-                                               std::size_t buffer_capacity)
-    : pages(num_pages), capacity(buffer_capacity)
-{
-    fatal_if(num_pages == 0, "tracker needs at least one page");
-    fatal_if(buffer_capacity == 0, "write buffer cannot be empty");
-    writeMap[0].resizeAndClear(num_pages);
-    writeMap[1].resizeAndClear(num_pages);
-}
-
-void
-ReferencePrilPredictor::onWrite(PageId page)
-{
-    panic_if(page.value() >= pages, "page %llu out of range",
-             static_cast<unsigned long long>(page.value()));
-
-    unsigned cur = current;
-    unsigned prev = 1 - current;
-
-    writeBuffer[prev].erase(page);
-
-    bool already_written = writeMap[cur].testAndSet(page.value());
-    if (!already_written) {
-        if (writeBuffer[cur].size() >= capacity) {
-            ++drops;
-            return;
-        }
-        writeBuffer[cur].insert(page);
-        peakOccupancy = std::max(peakOccupancy, writeBuffer[cur].size());
-    } else {
-        writeBuffer[cur].erase(page);
-    }
-}
-
-std::vector<PageId>
-ReferencePrilPredictor::endQuantum()
-{
-    unsigned prev = 1 - current;
-
-    // The candidate list feeds test scheduling and stats, so it must
-    // not inherit hash-set iteration order.
-    std::vector<PageId> candidates =
-        ordered::sortedValues(writeBuffer[prev]);
-
-    writeBuffer[prev].clear();
-    writeMap[prev].clearAll();
-    current = prev;
-    return candidates;
-}
-
-std::size_t
-ReferencePrilPredictor::storageBytes() const
-{
-    return writeMap[0].storageBytes() + writeMap[1].storageBytes() +
-           2 * capacity * 5;
-}
-
-bool
-ReferencePrilPredictor::isTracked(PageId page) const
-{
-    return writeBuffer[0].count(page) || writeBuffer[1].count(page);
-}
-
-std::uint32_t
-ReferencePrilPredictor::stateFingerprint() const
-{
-    std::uint32_t c = 0;
-    auto mix = [&c](std::uint64_t v) {
-        unsigned char b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
-        c = ckpt::crc32(b, sizeof(b), c);
-    };
-    mix(current);
-    mix(drops);
-    mix(peakOccupancy);
-    for (unsigned side = 0; side < 2; ++side) {
-        for (std::size_t bit : writeMap[side].setBits())
-            mix(bit);
-        mix(0xA5A5A5A5ull); // side separator
-        const std::vector<PageId> sorted =
-            ordered::sortedValues(writeBuffer[side]);
-        for (PageId page : sorted)
-            mix(page.value());
         mix(0x5A5A5A5Aull);
     }
     return c;

@@ -1,14 +1,14 @@
 /**
  * @file
  * Bit-identity proofs for the streaming engine hot path (DESIGN.md
- * §11): the k-way merge + deadline-wheel + SoA path must reproduce
- * the seed materialize-then-sort path (MemconConfig::
- * referenceEventPath) field-for-field on every metric and emit the
- * same transition sequence, on traces engineered to stress the
- * tie-break (duplicate timestamps within and across pages, writes on
- * quantum boundaries, budget-starved scrub backlogs). Plus property
- * tests for the two data structures against naive references, and
- * regression tests for the test-budget rounding fix.
+ * §11): the k-way merge + deadline-wheel + SoA engine must reproduce
+ * the seed materialize-then-sort engine (oracle::runReferenceEngine,
+ * tests/oracle/reference_engine.hh) field-for-field on every metric
+ * and emit the same transition sequence, on traces engineered to
+ * stress the tie-break (duplicate timestamps within and across pages,
+ * writes on quantum boundaries, budget-starved scrub backlogs). Plus
+ * property tests for the two data structures against naive
+ * references, and regression tests for the test-budget rounding fix.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "common/kway_merge.hh"
 #include "common/random.hh"
 #include "core/engine.hh"
+#include "oracle/reference_engine.hh"
 #include "trace/app_model.hh"
 
 namespace memcon::core
@@ -94,10 +95,10 @@ struct Transition
     }
 };
 
-/** Run one config on both event paths and demand identical metrics
- *  and an identical transition sequence. */
+/** Run one config on the engine and the reference oracle and demand
+ *  identical metrics and an identical transition sequence. */
 void
-expectPathsAgree(MemconConfig cfg,
+expectPathsAgree(const MemconConfig &cfg,
                  const std::vector<std::vector<TimeMs>> &writes,
                  double duration_ms,
                  const MemconEngine::FailureOracle &oracle,
@@ -112,10 +113,8 @@ expectPathsAgree(MemconConfig cfg,
         };
     };
 
-    cfg.referenceEventPath = true;
-    MemconResult ref = MemconEngine(cfg).run(writes, duration_ms, oracle,
-                                             observe(log_ref), timed);
-    cfg.referenceEventPath = false;
+    MemconResult ref = oracle::runReferenceEngine(
+        cfg, writes, duration_ms, oracle, observe(log_ref), timed);
     MemconResult stream = MemconEngine(cfg).run(
         writes, duration_ms, oracle, observe(log_stream), timed);
 
@@ -211,9 +210,8 @@ TEST(EngineEquiv, RunOnAppStreamingMatchesReference)
 
     MemconConfig cfg;
     cfg.scrubPeriodMs = 4096.0;
-    cfg.referenceEventPath = true;
-    MemconResult ref = MemconEngine(cfg).runOnApp(persona, hashOracle());
-    cfg.referenceEventPath = false;
+    MemconResult ref =
+        oracle::runReferenceOnApp(cfg, persona, hashOracle());
     MemconResult stream =
         MemconEngine(cfg).runOnApp(persona, hashOracle());
     expectSameResult(ref, stream);

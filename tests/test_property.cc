@@ -23,6 +23,7 @@
 #include "failure/content.hh"
 #include "failure/model.hh"
 #include "failure/tester.hh"
+#include "oracle/reference_pril.hh"
 
 using namespace memcon;
 
@@ -418,8 +419,9 @@ TEST(Property, PrilFingerprintIsHistoryIndependent)
 }
 
 // --------------------------------------------------------------------
-// The two PrilPredictor implementations in lockstep: identical
-// observable behavior on drop-heavy random traffic.
+// The production PRIL and the seed hash-set oracle in lockstep:
+// identical observable behavior, fingerprints included, on drop-heavy
+// random traffic.
 // --------------------------------------------------------------------
 
 TEST(Property, FlatAndReferencePrilAgree)
@@ -427,7 +429,7 @@ TEST(Property, FlatAndReferencePrilAgree)
     const std::uint64_t num_pages = 512;
     const std::size_t cap = 24; // small: drops occur constantly
     core::PrilPredictor flat(num_pages, cap);
-    core::ReferencePrilPredictor ref(num_pages, cap);
+    oracle::ReferencePrilPredictor ref(num_pages, cap);
     EXPECT_EQ(flat.storageBytes(), ref.storageBytes());
 
     Rng rng(0xD0D0ULL);
@@ -442,8 +444,12 @@ TEST(Property, FlatAndReferencePrilAgree)
         }
         for (std::uint64_t p = 0; p < num_pages; p += 31)
             EXPECT_EQ(flat.isTracked(PageId{p}), ref.isTracked(PageId{p}));
+        EXPECT_EQ(flat.stateFingerprint(), ref.stateFingerprint())
+            << "after writes, quantum " << quantum;
         EXPECT_EQ(flat.endQuantum(), ref.endQuantum())
             << "quantum " << quantum;
+        EXPECT_EQ(flat.stateFingerprint(), ref.stateFingerprint())
+            << "after swap, quantum " << quantum;
         EXPECT_EQ(flat.bufferDrops(), ref.bufferDrops());
         EXPECT_EQ(flat.peakBufferOccupancy(), ref.peakBufferOccupancy());
     }

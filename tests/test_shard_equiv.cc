@@ -21,6 +21,7 @@
 #include "common/random.hh"
 #include "core/engine.hh"
 #include "dram/address_map.hh"
+#include "oracle/reference_engine.hh"
 #include "runner.hh"
 #include "trace/app_model.hh"
 
@@ -322,10 +323,12 @@ TEST(ShardEquiv, EmptyBanksAreHarmless)
 
 TEST(ShardEquiv, ReferencePathRejectsNonIdentityMaps)
 {
+    // The reference engine oracle models the flat single-bank engine.
     MemconConfig cfg;
-    cfg.referenceEventPath = true;
     cfg.addressMap = dram::AddressMap::paperDdr3_8bank();
-    EXPECT_DEATH(MemconEngine eng(cfg), "identity address map");
+    std::vector<std::vector<TimeMs>> writes(16);
+    EXPECT_DEATH(oracle::runReferenceEngine(cfg, writes, 1000.0),
+                 "identity address map");
 }
 
 TEST(ShardEquiv, ObserversRejectShardedRuns)
