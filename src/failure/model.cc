@@ -40,62 +40,69 @@ FailureModel::FailureModel(const FailureModelParams &params,
              "nominal interval must be positive");
     fatal_if(params.marginFracMin <= 0.0 || params.marginFracMin >= 1.0,
              "marginFracMin must lie in (0, 1)");
+
+    // Each row draws from its own seeded stream, so a row's cells do
+    // not depend on how many rows the module has.
+    const std::uint64_t total_cols = remapper_.totalColumns();
+    offsets.reserve(rows + 1);
+    for (std::uint64_t r = 0; r < rows; ++r) {
+        offsets.push_back({static_cast<std::uint32_t>(vulnerable.size()),
+                           static_cast<std::uint32_t>(weak.size())});
+        Rng rng(hashMix64(modelParams.seed * 0x9e3779b97f4a7c15ULL ^
+                          (r + 0x1234)));
+
+        std::uint64_t n_vuln = rng.poisson(modelParams.vulnerableCellsPerRow);
+        for (std::uint64_t i = 0; i < n_vuln; ++i) {
+            VulnerableCell c;
+            // Interior columns only, so both neighbours exist.
+            c.column = 1 + rng.uniformInt(total_cols - 2);
+            c.wLeft = static_cast<float>(
+                rng.uniform(modelParams.weightMin, modelParams.weightMax));
+            c.wRight = static_cast<float>(
+                rng.uniform(modelParams.weightMin, modelParams.weightMax));
+            c.marginFrac = static_cast<float>(
+                rng.uniform(modelParams.marginFracMin, 1.0));
+            vulnerable.push_back(c);
+            geometry.push_back({scrambler_.logicalRow(r),
+                                {logicalColumnAt(c.column),
+                                 logicalColumnAt(c.column - 1),
+                                 logicalColumnAt(c.column + 1)},
+                                rowPolarity(RowId{r})});
+        }
+
+        std::uint64_t n_weak = rng.poisson(modelParams.weakCellsPerRow);
+        for (std::uint64_t i = 0; i < n_weak; ++i) {
+            WeakCell w;
+            w.column = rng.uniformInt(total_cols);
+            w.retentionMs = modelParams.nominalIntervalMs *
+                            rng.uniform(modelParams.retentionMinFrac,
+                                        modelParams.retentionMaxFrac);
+            weak.push_back(w);
+        }
+    }
+    fatal_if(vulnerable.size() > UINT32_MAX || weak.size() > UINT32_MAX,
+             "cell population too large for the row table");
+    offsets.push_back({static_cast<std::uint32_t>(vulnerable.size()),
+                       static_cast<std::uint32_t>(weak.size())});
 }
 
-const FailureModel::RowPopulation &
-FailureModel::population(RowId physical_row) const
-{
-    panic_if(physical_row.value() >= rows, "physical row out of range");
-    auto it = cache.find(physical_row);
-    if (it != cache.end())
-        return it->second;
-
-    Rng rng(hashMix64(modelParams.seed * 0x9e3779b97f4a7c15ULL ^
-                      (physical_row.value() + 0x1234)));
-    RowPopulation pop;
-
-    std::uint64_t total_cols = remapper_.totalColumns();
-    std::uint64_t n_vuln = rng.poisson(modelParams.vulnerableCellsPerRow);
-    pop.vulnerable.reserve(n_vuln);
-    for (std::uint64_t i = 0; i < n_vuln; ++i) {
-        VulnerableCell c;
-        // Interior columns only, so both neighbours exist.
-        c.column = 1 + rng.uniformInt(total_cols - 2);
-        c.wLeft = static_cast<float>(
-            rng.uniform(modelParams.weightMin, modelParams.weightMax));
-        c.wRight = static_cast<float>(
-            rng.uniform(modelParams.weightMin, modelParams.weightMax));
-        c.marginFrac =
-            static_cast<float>(rng.uniform(modelParams.marginFracMin, 1.0));
-        pop.vulnerable.push_back(c);
-    }
-
-    std::uint64_t n_weak = rng.poisson(modelParams.weakCellsPerRow);
-    pop.weak.reserve(n_weak);
-    for (std::uint64_t i = 0; i < n_weak; ++i) {
-        WeakCell w;
-        w.column = rng.uniformInt(total_cols);
-        w.retentionMs = modelParams.nominalIntervalMs *
-                        rng.uniform(modelParams.retentionMinFrac,
-                                    modelParams.retentionMaxFrac);
-        pop.weak.push_back(w);
-    }
-
-    auto [ins, ok] = cache.emplace(physical_row, std::move(pop));
-    (void)ok;
-    return ins->second;
-}
-
-const std::vector<VulnerableCell> &
+std::span<const VulnerableCell>
 FailureModel::cellsOfRow(RowId physical_row) const
 {
-    return population(physical_row).vulnerable;
+    panic_if(physical_row.value() >= rows, "physical row out of range");
+    const std::uint64_t r = physical_row.value();
+    return std::span(vulnerable).subspan(
+        offsets[r].vulnerable,
+        offsets[r + 1].vulnerable - offsets[r].vulnerable);
 }
 
-const std::vector<WeakCell> &
+std::span<const WeakCell>
 FailureModel::weakCellsOfRow(RowId physical_row) const
 {
-    return population(physical_row).weak;
+    panic_if(physical_row.value() >= rows, "physical row out of range");
+    const std::uint64_t r = physical_row.value();
+    return std::span(weak).subspan(offsets[r].weak,
+                                   offsets[r + 1].weak - offsets[r].weak);
 }
 
 bool
@@ -109,9 +116,17 @@ FailureModel::rowPolarity(RowId physical_row) const
 double
 FailureModel::leakScale(double interval_ms) const
 {
-    panic_if(interval_ms <= 0.0, "refresh interval must be positive");
     return std::pow(interval_ms / modelParams.nominalIntervalMs,
                     modelParams.leakExponent);
+}
+
+std::uint64_t
+FailureModel::logicalColumnAt(std::uint64_t storage_col) const
+{
+    std::uint64_t addressed = remapper_.addressedColumn(storage_col);
+    if (addressed == ColumnRemapper::kUnmapped)
+        return ColumnRemapper::kUnmapped;
+    return scrambler_.logicalColumn(addressed);
 }
 
 bool
@@ -119,14 +134,62 @@ FailureModel::chargedAt(RowId physical_row,
                         std::uint64_t storage_col,
                         const ContentProvider &content) const
 {
-    std::uint64_t addressed = remapper_.addressedColumn(storage_col);
-    if (addressed == ColumnRemapper::kUnmapped)
+    std::uint64_t logical_col = logicalColumnAt(storage_col);
+    if (logical_col == ColumnRemapper::kUnmapped)
         return false; // unused spare or fused-off column: not driven
 
-    std::uint64_t logical_col = scrambler_.logicalColumn(addressed);
     std::uint64_t logical_row = scrambler_.logicalRow(physical_row.value());
     bool bit = content.bit(logical_row, logical_col);
     return bit == rowPolarity(physical_row);
+}
+
+template <class Visit>
+bool
+FailureModel::visitFailures(RowId physical_row,
+                            const ContentProvider *content,
+                            double interval_ms, Visit &&visit) const
+{
+    panic_if(physical_row.value() >= rows, "physical row out of range");
+    panic_if(interval_ms <= 0.0, "refresh interval must be positive");
+    const RowOffsets &row = offsets[physical_row.value()];
+    const RowOffsets &next = offsets[physical_row.value() + 1];
+
+    if (row.vulnerable != next.vulnerable) {
+        const double scale = leakScale(interval_ms);
+        for (std::uint32_t i = row.vulnerable; i < next.vulnerable; ++i) {
+            const VulnerableCell &c = vulnerable[i];
+            double aggression;
+            if (content == nullptr) {
+                aggression = c.wLeft + c.wRight; // both neighbours aggress
+            } else {
+                // chargedAt() over the precomputed geometry.
+                const CellGeometry &g = geometry[i];
+                bool charged[3];
+                for (int k = 0; k < 3; ++k) {
+                    const std::uint64_t col = g.logicalColumn[k];
+                    charged[k] =
+                        col != ColumnRemapper::kUnmapped &&
+                        content->bit(g.logicalRow, col) == g.polarity;
+                }
+                aggression = 0.0;
+                if (charged[1] != charged[0])
+                    aggression += c.wLeft;
+                if (charged[2] != charged[0])
+                    aggression += c.wRight;
+            }
+            double margin =
+                static_cast<double>(c.marginFrac) * (c.wLeft + c.wRight);
+            if (aggression * scale >= margin && visit(c.column, true))
+                return true;
+        }
+    }
+
+    for (std::uint32_t i = row.weak; i < next.weak; ++i) {
+        if (interval_ms >= weak[i].retentionMs &&
+            visit(weak[i].column, false))
+            return true;
+    }
+    return false;
 }
 
 std::vector<CellFailure>
@@ -134,31 +197,13 @@ FailureModel::evaluatePhysicalRow(RowId physical_row,
                                   const ContentProvider &content,
                                   double interval_ms) const
 {
-    const RowPopulation &pop = population(physical_row);
     std::vector<CellFailure> failures;
-    double scale = leakScale(interval_ms);
-
-    for (const VulnerableCell &c : pop.vulnerable) {
-        bool victim = chargedAt(physical_row, c.column, content);
-        bool left = chargedAt(physical_row, c.column - 1, content);
-        bool right = chargedAt(physical_row, c.column + 1, content);
-
-        double aggression = 0.0;
-        if (left != victim)
-            aggression += c.wLeft;
-        if (right != victim)
-            aggression += c.wRight;
-
-        double margin =
-            static_cast<double>(c.marginFrac) * (c.wLeft + c.wRight);
-        if (aggression * scale >= margin)
-            failures.push_back({physical_row, c.column, true});
-    }
-
-    for (const WeakCell &w : pop.weak) {
-        if (interval_ms >= w.retentionMs)
-            failures.push_back({physical_row, w.column, false});
-    }
+    visitFailures(physical_row, &content, interval_ms,
+                  [&](std::uint64_t column, bool data_dependent) {
+                      failures.push_back(
+                          {physical_row, column, data_dependent});
+                      return false;
+                  });
     return failures;
 }
 
@@ -172,16 +217,17 @@ FailureModel::readbackPhysicalRow(RowId physical_row,
     std::uint64_t logical_row = scrambler_.logicalRow(physical_row.value());
     content.fillRow(logical_row, dst, n_words);
 
-    for (const CellFailure &f :
-         evaluatePhysicalRow(physical_row, content, interval_ms)) {
-        std::uint64_t addressed = remapper_.addressedColumn(f.column);
-        if (addressed == ColumnRemapper::kUnmapped)
-            continue; // no logical address: invisible to the system
-        std::uint64_t logical_col = scrambler_.logicalColumn(addressed);
-        if (logical_col / 64 >= n_words)
-            continue; // outside the compared span
-        dst[logical_col / 64] ^= std::uint64_t{1} << (logical_col % 64);
-    }
+    visitFailures(physical_row, &content, interval_ms,
+                  [&](std::uint64_t column, bool) {
+                      std::uint64_t logical_col = logicalColumnAt(column);
+                      // No logical address, or outside the compared
+                      // span: invisible here.
+                      if (logical_col != ColumnRemapper::kUnmapped &&
+                          logical_col / 64 < n_words)
+                          dst[logical_col / 64] ^= std::uint64_t{1}
+                                                   << (logical_col % 64);
+                      return false;
+                  });
 }
 
 bool
@@ -189,7 +235,8 @@ FailureModel::physicalRowFails(RowId physical_row,
                                const ContentProvider &content,
                                double interval_ms) const
 {
-    return !evaluatePhysicalRow(physical_row, content, interval_ms).empty();
+    return visitFailures(physical_row, &content, interval_ms,
+                         [](std::uint64_t, bool) { return true; });
 }
 
 bool
@@ -205,21 +252,8 @@ bool
 FailureModel::physicalRowCanFail(RowId physical_row,
                                  double interval_ms) const
 {
-    const RowPopulation &pop = population(physical_row);
-    double scale = leakScale(interval_ms);
-
-    for (const VulnerableCell &c : pop.vulnerable) {
-        // Worst case: both neighbours aggress.
-        double margin =
-            static_cast<double>(c.marginFrac) * (c.wLeft + c.wRight);
-        if ((c.wLeft + c.wRight) * scale >= margin)
-            return true;
-    }
-    for (const WeakCell &w : pop.weak) {
-        if (interval_ms >= w.retentionMs)
-            return true;
-    }
-    return false;
+    return visitFailures(physical_row, nullptr, interval_ms,
+                         [](std::uint64_t, bool) { return true; });
 }
 
 double

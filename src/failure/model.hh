@@ -41,6 +41,13 @@
  * rows depending on its bit-transition density. marginFrac is drawn
  * above (hiRefInterval/nominal)^leakExponent, which makes the HI-REF
  * rate provably safe - the guarantee MEMCON's mitigation relies on.
+ *
+ * Layout and threading: the constructor draws every row's cells in
+ * O(rows) into one packed, immutable row table (DESIGN.md §11), and
+ * for each vulnerable cell fixes where its own bit and its two
+ * neighbours' bits live in the logical address space. Queries only
+ * read that table, so after construction every const method is safe
+ * to call from any number of threads at once.
  */
 
 #ifndef MEMCON_FAILURE_MODEL_HH
@@ -48,8 +55,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/strong_id.hh"
@@ -142,13 +148,15 @@ class FailureModel
     const AddressScrambler &scrambler() const { return scrambler_; }
     const ColumnRemapper &remapper() const { return remapper_; }
 
-    /** Deterministic vulnerable-cell population of a physical row. */
-    const std::vector<VulnerableCell> &
-    cellsOfRow(RowId physical_row) const;
+    /**
+     * Deterministic vulnerable-cell population of a physical row. The
+     * span views the model's row table and is valid while the model
+     * lives.
+     */
+    std::span<const VulnerableCell> cellsOfRow(RowId physical_row) const;
 
     /** Deterministic weak-cell population of a physical row. */
-    const std::vector<WeakCell> &
-    weakCellsOfRow(RowId physical_row) const;
+    std::span<const WeakCell> weakCellsOfRow(RowId physical_row) const;
 
     /** True/anti polarity of a physical row (true = charged on 1). */
     bool rowPolarity(RowId physical_row) const;
@@ -215,13 +223,40 @@ class FailureModel
                              std::size_t n_words) const;
 
   private:
-    struct RowPopulation
+    /** Where a row's cells start in the packed cell arrays; the next
+     *  row's entry is where they end. */
+    struct RowOffsets
     {
-        std::vector<VulnerableCell> vulnerable;
-        std::vector<WeakCell> weak;
+        std::uint32_t vulnerable;
+        std::uint32_t weak;
     };
 
-    const RowPopulation &population(RowId physical_row) const;
+    /**
+     * Where a vulnerable cell's content lives, fixed at construction:
+     * its row's logical address and polarity, and the logical column
+     * of the victim and of its left and right bitline neighbours, or
+     * ColumnRemapper::kUnmapped for an undriven storage column.
+     */
+    struct CellGeometry
+    {
+        std::uint64_t logicalRow;
+        std::uint64_t logicalColumn[3];
+        bool polarity;
+    };
+
+    /**
+     * Calls visit(storage_col, data_dependent) for each failing cell
+     * of the row - vulnerable cells, then weak cells, each in draw
+     * order - until a call returns true. A null content asks for the
+     * worst case, where both neighbours of every vulnerable cell
+     * aggress. @return true if a visit stopped the walk.
+     */
+    template <class Visit>
+    bool visitFailures(RowId physical_row, const ContentProvider *content,
+                       double interval_ms, Visit &&visit) const;
+
+    /** The logical column stored at a storage column, or kUnmapped. */
+    std::uint64_t logicalColumnAt(std::uint64_t storage_col) const;
     double leakScale(double interval_ms) const;
 
     FailureModelParams modelParams;
@@ -230,7 +265,10 @@ class FailureModel
     AddressScrambler scrambler_;
     ColumnRemapper remapper_;
 
-    mutable std::unordered_map<RowId, RowPopulation> cache;
+    std::vector<RowOffsets> offsets; //!< rows + 1 entries
+    std::vector<VulnerableCell> vulnerable;
+    std::vector<CellGeometry> geometry; //!< parallel to vulnerable
+    std::vector<WeakCell> weak;
 };
 
 } // namespace memcon::failure

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "failure/content.hh"
 #include "failure/model.hh"
 #include "failure/tester.hh"
+#include "oracle/reference_failure_model.hh"
 #include "oracle/reference_pril.hh"
 
 using namespace memcon;
@@ -512,6 +514,112 @@ TEST(Property, BlockTesterMatchesSparseTesterWithoutSpares)
     EXPECT_EQ(block.rowsFailing, sparse.rowsFailing);
     EXPECT_EQ(block.failingBits, sparse.failures.size());
     EXPECT_GT(block.failingBits, 0u)
+        << "model produced no failures; the comparison is vacuous";
+}
+
+TEST(Property, FailureModelMatchesReference)
+{
+    // The production model's packed row table and precomputed cell
+    // geometry must answer every query exactly as the seed model,
+    // which draws each row on first touch and maps every cell through
+    // the remapper and scrambler per call.
+    std::vector<std::unique_ptr<failure::ContentProvider>> contents;
+    for (failure::PatternKind kind :
+         {failure::PatternKind::Solid0, failure::PatternKind::Solid1,
+          failure::PatternKind::Checkerboard,
+          failure::PatternKind::InvCheckerboard,
+          failure::PatternKind::RowStripe, failure::PatternKind::ColStripe,
+          failure::PatternKind::WalkingOne,
+          failure::PatternKind::WalkingZero})
+        contents.push_back(
+            std::make_unique<failure::PatternContent>(kind, 5));
+    for (std::uint64_t seed : {3u, 4u})
+        contents.push_back(std::make_unique<failure::PatternContent>(
+            failure::PatternKind::Random, seed));
+    for (const char *name : {"gcc", "astar", "lbm"})
+        for (std::uint64_t epoch : {0u, 1u, 7u, 1000u})
+            contents.push_back(std::make_unique<failure::ProgramContent>(
+                failure::ContentPersona::byName(name), epoch));
+
+    const std::uint64_t cols = 1 << 10;
+    const std::size_t n_words = cols / 64;
+    std::vector<std::uint64_t> got(n_words), want(n_words);
+    std::uint64_t failures_seen = 0;
+    for (bool scrambling : {false, true}) {
+        for (std::uint64_t remapped : {0u, 24u}) {
+            for (std::uint64_t rows : {1u << 10, 1u << 12}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "scrambling " << scrambling << " remapped "
+                             << remapped << " rows " << rows);
+                failure::FailureModelParams params;
+                params.seed = 21;
+                params.scrambling = scrambling;
+                params.remappedColumns = remapped;
+                const failure::FailureModel model(params, rows, cols);
+                const oracle::ReferenceFailureModel ref(params, rows, cols);
+
+                for (std::uint64_t r = 0; r < rows; ++r) {
+                    const auto &vm = model.cellsOfRow(RowId{r});
+                    const auto &vr = ref.cellsOfRow(RowId{r});
+                    ASSERT_EQ(vm.size(), vr.size()) << "row " << r;
+                    for (std::size_t i = 0; i < vm.size(); ++i) {
+                        EXPECT_EQ(vm[i].column, vr[i].column);
+                        EXPECT_EQ(vm[i].wLeft, vr[i].wLeft);
+                        EXPECT_EQ(vm[i].wRight, vr[i].wRight);
+                        EXPECT_EQ(vm[i].marginFrac, vr[i].marginFrac);
+                    }
+                    const auto &wm = model.weakCellsOfRow(RowId{r});
+                    const auto &wr = ref.weakCellsOfRow(RowId{r});
+                    ASSERT_EQ(wm.size(), wr.size()) << "row " << r;
+                    for (std::size_t i = 0; i < wm.size(); ++i) {
+                        EXPECT_EQ(wm[i].column, wr[i].column);
+                        EXPECT_EQ(wm[i].retentionMs, wr[i].retentionMs);
+                    }
+                }
+
+                for (double interval : {16.0, 64.0, 128.0, 328.0, 1024.0}) {
+                    for (std::uint64_t r = 0; r < rows; ++r)
+                        ASSERT_EQ(model.physicalRowCanFail(RowId{r}, interval),
+                                  ref.physicalRowCanFail(RowId{r}, interval))
+                            << "row " << r << " at " << interval << " ms";
+                    for (const auto &content : contents) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << content->name() << " at "
+                                     << interval << " ms");
+                        for (std::uint64_t r = 0; r < rows; ++r) {
+                            const RowId row{r};
+                            const auto fm = model.evaluatePhysicalRow(
+                                row, *content, interval);
+                            const auto fr = ref.evaluatePhysicalRow(
+                                row, *content, interval);
+                            ASSERT_EQ(fm.size(), fr.size()) << "row " << r;
+                            for (std::size_t i = 0; i < fm.size(); ++i) {
+                                EXPECT_EQ(fm[i].physicalRow, fr[i].physicalRow);
+                                EXPECT_EQ(fm[i].column, fr[i].column);
+                                EXPECT_EQ(fm[i].dataDependent,
+                                          fr[i].dataDependent);
+                            }
+                            failures_seen += fm.size();
+                            ASSERT_EQ(
+                                model.physicalRowFails(row, *content, interval),
+                                ref.physicalRowFails(row, *content, interval))
+                                << "row " << r;
+                            ASSERT_EQ(
+                                model.logicalRowFails(row, *content, interval),
+                                ref.logicalRowFails(row, *content, interval))
+                                << "row " << r;
+                            model.readbackPhysicalRow(row, *content, interval,
+                                                      got.data(), n_words);
+                            ref.readbackPhysicalRow(row, *content, interval,
+                                                    want.data(), n_words);
+                            ASSERT_EQ(got, want) << "row " << r;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(failures_seen, 0u)
         << "model produced no failures; the comparison is vacuous";
 }
 

@@ -21,6 +21,8 @@
 #include "common/random.hh"
 #include "core/engine.hh"
 #include "dram/address_map.hh"
+#include "failure/content.hh"
+#include "failure/model.hh"
 #include "oracle/reference_engine.hh"
 #include "runner.hh"
 #include "trace/app_model.hh"
@@ -260,6 +262,44 @@ TEST(ShardEquiv, CampaignDigestsBitIdenticalAcross1_2_8ShardThreads)
     EXPECT_FALSE(d1.empty());
     EXPECT_EQ(d1, d2);
     EXPECT_EQ(d1, d8);
+}
+
+TEST(ShardEquiv, FailureModelOracleIsSafeFromShardThreads)
+{
+    // The campaign oracle as the figure benches build it: a failure
+    // model queried straight from the shard workers, with no row
+    // touched beforehand. Its const queries must be safe to share
+    // (the TSan preset runs this suite), and the verdicts must not
+    // see the worker count.
+    failure::FailureModelParams params;
+    params.seed = 17;
+    const failure::FailureModel model(params, 1 << 12, 1 << 16);
+    const failure::ContentPersona content =
+        failure::ContentPersona::byName("gcc");
+    auto oracle = [&](std::uint64_t page, std::uint64_t wc) {
+        const failure::ProgramContent data(content, wc);
+        return model.logicalRowFails(RowId{page % model.numRows()}, data,
+                                     64.0);
+    };
+
+    trace::AppPersona app = trace::AppPersona::table1Suite()[0];
+    app.pages = 4096;
+    app.durationSec = 20.0;
+    MemconConfig cfg;
+    cfg.addressMap = dram::AddressMap::zenDdr4_64bank();
+    cfg.scrubPeriodMs = 2048.0;
+
+    // The threaded run goes first, so its workers meet a fresh model.
+    cfg.shardThreads = 4;
+    const MemconResult r4 = MemconEngine(cfg).runOnApp(app, oracle);
+    cfg.shardThreads = 1;
+    const MemconResult r1 = MemconEngine(cfg).runOnApp(app, oracle);
+
+    ASSERT_EQ(r1.shards.size(), 64u);
+    EXPECT_GT(r1.testsFailed, 0u)
+        << "no test failed; the oracle is not exercised";
+    expectSameMetrics(r1, r4, /*same_sharding=*/true);
+    expectActsConsistent(r4);
 }
 
 TEST(ShardEquiv, SkewedBankPopulationsKeepResourcesLocal)
