@@ -62,11 +62,14 @@ counters(const MemconConfig &cfg, bool reference, const MemconResult &r)
         r.durationMs > 0.0 ? r.durationMs / cfg.quantumMs.value() : 0.0;
     // Peak resident estimate of the event plumbing: the reference
     // path holds every event (16-byte {time, page}); the streaming
-    // path holds one 16-byte heap node per concurrently live stream.
+    // path holds one 16-byte wheel entry per concurrently live stream
+    // plus its largest staged batch - 16-byte events, as many again
+    // of sort scratch, and a 4-byte bucket index per event.
     double event_bytes =
         reference
             ? static_cast<double>(r.writes) * 16.0
-            : static_cast<double>(r.peakLiveStreams) * 16.0;
+            : static_cast<double>(r.peakLiveStreams) * 16.0 +
+                  static_cast<double>(r.peakStagedEvents) * 36.0;
     return bench::Metrics{
         {"writes", static_cast<double>(r.writes)},
         {"quanta", quanta},

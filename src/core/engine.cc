@@ -70,6 +70,7 @@ struct ShardOutcome
     std::uint64_t wheelPops = 0;
     std::uint64_t testsDeferredBudget = 0;
     std::uint64_t peakLiveStreams = 0;
+    std::uint64_t peakStagedEvents = 0;
     std::uint64_t acts = 0; // memcon:shard_local - row activations
     std::size_t trackerStorageBytes = 0;
 
@@ -121,6 +122,8 @@ finalize(const MemconConfig &cfg, std::vector<ShardOutcome> outs,
         res.testsDeferredBudget += o.testsDeferredBudget;
         res.peakLiveStreams =
             std::max(res.peakLiveStreams, o.peakLiveStreams);
+        res.peakStagedEvents =
+            std::max(res.peakStagedEvents, o.peakStagedEvents);
         res.trackerStorageBytes += o.trackerStorageBytes;
         res.acts += o.acts;
         res.shards.push_back({o.hiMs.size(), o.writes, o.testsRun,
@@ -275,11 +278,11 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
 
     PrilPredictor pril(num_local, clampedBufferCapacity(cfg, num_local));
     PageSoA st(num_local);
-    // The merge windows on the quantum: the consumer drains events
-    // quantum by quantum anyway, so staging memory is one quantum's
-    // events.
-    KWayMerge<Stream> merge(std::move(streams), duration_ms,
-                            cfg.quantumMs.value());
+    // The merge windows on a fixed fraction of the quantum, so one
+    // window's staged batch and its sort scratch stay cache-sized.
+    KWayMerge<Stream> merge(
+        std::move(streams), duration_ms,
+        cfg.quantumMs.value() / kMergeWindowsPerQuantum);
 
     // A scrub entry verified at quantum index q matures no earlier
     // than q + floor(period/quantum) quanta later. The floor (vs the
@@ -522,6 +525,7 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
     out.trackerStorageBytes = pril.storageBytes();
     out.heapPushes = merge.heapPushes();
     out.peakLiveStreams = merge.peakLiveSources();
+    out.peakStagedEvents = merge.peakStagedEvents();
     return out;
 }
 

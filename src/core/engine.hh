@@ -187,6 +187,7 @@ struct MemconResult
     std::uint64_t heapPushes = 0;      //!< k-way merge heap inserts
     std::uint64_t wheelPops = 0;       //!< scrub/read-only wheel pops
     std::uint64_t peakLiveStreams = 0; //!< max concurrent merge sources
+    std::uint64_t peakStagedEvents = 0; //!< max merge batch (events)
 
     /**
      * Work items (read-only sweep entries, due scrubs) pushed past

@@ -287,6 +287,27 @@ struct VecStream
     }
 };
 
+struct Ev
+{
+    double time;
+    std::uint32_t source;
+
+    bool operator==(const Ev &) const = default;
+};
+
+/** Drain a merge completely, in delivery order. */
+template <typename Stream>
+std::vector<Ev>
+drain(KWayMerge<Stream> &merge)
+{
+    std::vector<Ev> got;
+    while (!merge.empty()) {
+        const auto item = merge.pop();
+        got.push_back({item.time, item.source});
+    }
+    return got;
+}
+
 TEST(KWayMergeTest, ReproducesStableSortOrder)
 {
     for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
@@ -294,11 +315,6 @@ TEST(KWayMergeTest, ReproducesStableSortOrder)
         const std::size_t sources = 1 + rng.uniformInt(60);
         const double horizon = 900.0;
         std::vector<VecStream> streams(sources);
-        struct Ev
-        {
-            double time;
-            std::uint32_t source;
-        };
         std::vector<Ev> expected;
         for (std::uint32_t s = 0; s < sources; ++s) {
             const std::size_t n = rng.uniformInt(8);
@@ -320,11 +336,7 @@ TEST(KWayMergeTest, ReproducesStableSortOrder)
         // A window that does not divide the grid stresses the float
         // bucketing correction.
         KWayMerge<VecStream> merge(std::move(streams), horizon, 93.0);
-        std::vector<Ev> got;
-        while (!merge.empty()) {
-            auto item = merge.pop();
-            got.push_back({item.time, item.source});
-        }
+        const std::vector<Ev> got = drain(merge);
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t i = 0; i < got.size(); ++i) {
             EXPECT_EQ(got[i].time, expected[i].time) << "at " << i;
@@ -340,6 +352,131 @@ TEST(KWayMergeTest, UnsortedStreamPanics)
     KWayMerge<VecStream> merge(std::move(streams), 1000.0, 100.0);
     EXPECT_DEATH(while (!merge.empty()) merge.pop(),
                  "unsorted write stream");
+}
+
+TEST(KWayMergeTest, UnsortedStreamPanicsAfterRebucketing)
+{
+    // 50 lands in window 0 and 250 in window 2, so the source is
+    // re-bucketed once before the backwards step to 220: only the
+    // time the wheel entry carried across re-bucketing can catch it.
+    std::vector<VecStream> streams(2);
+    streams[0].times = {50.0, 250.0, 220.0};
+    streams[1].times = {10.0, 260.0};
+    KWayMerge<VecStream> merge(std::move(streams), 1000.0, 100.0);
+    EXPECT_DEATH(while (!merge.empty()) merge.pop(),
+                 "unsorted write stream for source 0 \\(220 after 250\\)");
+}
+
+TEST(KWayMergeTest, DenseWindowsReproduceStableSortOrder)
+{
+    // Thousands of events per window, so batches take sortBatch's
+    // distribution path. Times mix three kinds: continuous (several
+    // distinct times share a bucket), a 0.25 ms grid (cross-source
+    // ties), and a few hot instants that crowd one bucket past the
+    // insertion-sort cutoff. Some sources repeat a time (FIFO within
+    // a source), and sparse sources leave long gaps that re-bucket
+    // them many windows ahead. Window widths run from far below the
+    // grid step, through widths that do not divide it, to past the
+    // horizon.
+    const double hot[] = {100.0, 250.5, 500.0, 777.25};
+    const double horizon = 1000.0;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        const std::size_t sources = 300 + rng.uniformInt(200);
+        std::vector<std::vector<double>> times(sources);
+        std::vector<Ev> expected;
+        std::size_t live = 0;
+        for (std::uint32_t s = 0; s < sources; ++s) {
+            auto &t = times[s];
+            const bool sparse = rng.uniformInt(8) == 0;
+            const std::size_t n =
+                sparse ? 1 + rng.uniformInt(3) : 20 + rng.uniformInt(40);
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::uint64_t kind = rng.uniformInt(10);
+                const double v =
+                    kind == 0   ? hot[rng.uniformInt(4)]
+                    : kind < 5 ? rng.uniform(0.0, 1100.0)
+                               : static_cast<double>(
+                                     rng.uniformInt(4400)) * 0.25;
+                t.push_back(v);
+                if (rng.uniformInt(10) == 0)
+                    t.push_back(v);
+            }
+            std::sort(t.begin(), t.end());
+            for (double v : t)
+                if (v < horizon)
+                    expected.push_back({v, s});
+            live += !t.empty() && t.front() < horizon;
+        }
+        // Source-major append + stable sort by time = the seed order.
+        std::stable_sort(expected.begin(), expected.end(),
+                         [](const Ev &a, const Ev &b) {
+                             return a.time < b.time;
+                         });
+
+        for (double window :
+             {0.07, 0.1, 1.0 / 3.0, 7.0, 93.0, 125.0, 1000.0, 5000.0}) {
+            std::vector<VecStream> streams(sources);
+            for (std::size_t s = 0; s < sources; ++s)
+                streams[s].times = times[s];
+            KWayMerge<VecStream> merge(std::move(streams), horizon,
+                                       window);
+            const std::vector<Ev> got = drain(merge);
+            ASSERT_EQ(got.size(), expected.size()) << "window " << window;
+            for (std::size_t i = 0; i < got.size(); ++i)
+                ASSERT_EQ(got[i], expected[i])
+                    << "window " << window << " at " << i;
+            EXPECT_EQ(merge.peakLiveSources(), live) << "window " << window;
+            if (window >= 125.0)
+                EXPECT_GT(merge.peakStagedEvents(), 1000u)
+                    << "window " << window;
+        }
+    }
+}
+
+TEST(KWayMergeTest, PeakLiveSourcesCountsEachSourceOnce)
+{
+    // Sources 0 and 1 are due in window 0; source 0 re-buckets into
+    // window 2 while source 2 still waits in window 1. Sources 3
+    // (empty) and 4 (past the horizon) are never live.
+    std::vector<VecStream> streams(5);
+    streams[0].times = {1.0, 25.0};
+    streams[1].times = {5.0};
+    streams[2].times = {15.0};
+    streams[4].times = {2000.0};
+    KWayMerge<VecStream> merge(std::move(streams), 1000.0, 10.0);
+    EXPECT_EQ(merge.peakLiveSources(), 3u);
+    const std::vector<Ev> got = drain(merge);
+    const std::vector<Ev> want{{1.0, 0}, {5.0, 1}, {15.0, 2}, {25.0, 0}};
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(merge.peakLiveSources(), 3u);
+    EXPECT_EQ(merge.peakStagedEvents(), 2u);
+    EXPECT_EQ(merge.heapPushes(), 4u);
+}
+
+TEST(KWayMergeTest, PersonaOrderIsWindowInvariant)
+{
+    // A Table-1 persona's page streams drain to the same (time, page)
+    // sequence at any window: the window is a cost knob only.
+    trace::AppPersona persona = trace::AppPersona::byName("BlurMotion");
+    persona.pages = 2048;
+    const double horizon = persona.durationSec * 1000.0;
+    auto run = [&](double window) {
+        std::vector<trace::PageWriteStream> streams;
+        streams.reserve(persona.pages);
+        for (std::uint64_t p = 0; p < persona.pages; ++p)
+            streams.emplace_back(persona, p);
+        KWayMerge<trace::PageWriteStream> merge(std::move(streams),
+                                                horizon, window);
+        return drain(merge);
+    };
+    const MemconConfig cfg;
+    const double quantum = cfg.quantumMs.value();
+    const std::vector<Ev> base = run(quantum);
+    ASSERT_GT(base.size(), 100000u);
+    for (double window : {0.5, quantum / kMergeWindowsPerQuantum,
+                          quantum / 32.0, 3.0 * quantum, horizon * 2.0})
+        EXPECT_TRUE(run(window) == base) << "window " << window;
 }
 
 // --------------------------------------------------------------------
