@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "common/arena.hh"
 #include "common/random.hh"
 #include "common/simd.hh"
 #include "common/table.hh"
@@ -196,13 +195,11 @@ main(int argc, char **argv)
                     row_words](const bench::TaskContext &) {
                        failure::ProgramContent content(
                            failure::ContentPersona::byName("astar"), 3);
-                       Arena arena;
-                       std::uint64_t *buf =
-                           arena.allocate<std::uint64_t>(row_words);
+                       std::vector<std::uint64_t> buf(row_words);
                        std::uint64_t checksum = 0;
                        for (std::size_t r = 0; r < content_rows; ++r) {
                            if (block) {
-                               content.fillRow(r, buf, row_words);
+                               content.fillRow(r, buf.data(), row_words);
                            } else {
                                // The priced per-word baseline.
                                for (std::size_t w = 0; w < row_words; ++w)
@@ -210,7 +207,7 @@ main(int argc, char **argv)
                                    buf[w] = content.wordAt(r, w);
                            }
                            checksum ^= hashMix64(
-                               simd::popcountWords(buf, row_words) +
+                               simd::popcountWords(buf.data(), row_words) +
                                buf[0] + buf[row_words - 1] + r);
                        }
                        return bench::Metrics{
@@ -231,11 +228,8 @@ main(int argc, char **argv)
                 const simd::KernelSet &k = active
                                                ? simd::activeKernels()
                                                : simd::scalarKernels();
-                Arena arena;
-                std::uint64_t *a =
-                    arena.allocate<std::uint64_t>(row_words);
-                std::uint64_t *b =
-                    arena.allocate<std::uint64_t>(row_words);
+                std::vector<std::uint64_t> a(row_words);
+                std::vector<std::uint64_t> b(row_words);
                 Rng rng(deriveTaskSeed(opts.campaignSeed, 7));
                 std::uint64_t mismatches = 0;
                 std::uint64_t bits = 0;
@@ -249,9 +243,9 @@ main(int argc, char **argv)
                     if ((r & 7) == 0)
                         b[rng.uniformInt(row_words)] ^=
                             std::uint64_t{1} << rng.uniformInt(64);
-                    if (!k.equal(a, b, row_words)) {
+                    if (!k.equal(a.data(), b.data(), row_words)) {
                         ++mismatches;
-                        bits += k.xorPopcount(a, b, row_words);
+                        bits += k.xorPopcount(a.data(), b.data(), row_words);
                     }
                 }
                 return bench::Metrics{
@@ -273,22 +267,19 @@ main(int argc, char **argv)
                 failure::ProgramContent content(
                     failure::ContentPersona::byName("gcc"), 0);
                 const std::size_t n_words = (1 << 16) / 64;
-                Arena arena;
-                std::uint64_t *expected =
-                    arena.allocate<std::uint64_t>(n_words);
-                std::uint64_t *readback =
-                    arena.allocate<std::uint64_t>(n_words);
+                std::vector<std::uint64_t> expected(n_words);
+                std::vector<std::uint64_t> readback(n_words);
                 std::uint64_t failures = 0;
                 for (std::size_t r = 0; r < eval_rows; ++r) {
                     if (block) {
                         std::uint64_t logical =
                             model.scrambler().logicalRow(r);
-                        content.fillRow(logical, expected, n_words);
+                        content.fillRow(logical, expected.data(), n_words);
                         model.readbackPhysicalRow(RowId{r}, content,
-                                                  64.0, readback,
+                                                  64.0, readback.data(),
                                                   n_words);
                         failures += simd::xorPopcount(
-                            expected, readback, n_words);
+                            expected.data(), readback.data(), n_words);
                     } else {
                         for (const failure::CellFailure &f :
                              model.evaluatePhysicalRow(RowId{r},

@@ -30,7 +30,7 @@ syntheticFillRow(RowId row, std::uint64_t *dst, std::size_t n_words)
 } // namespace
 
 OnlineMemcon::OnlineMemcon(const dram::Geometry &geometry,
-                           sim::MemoryController &controller,
+                           ControllerPort &controller,
                            const OnlineMemconConfig &config,
                            RowFailureOracle oracle_fn)
     : geom(geometry), mc(controller), cfg(config),
@@ -60,19 +60,19 @@ OnlineMemcon::OnlineMemcon(const dram::Geometry &geometry,
 }
 
 void
-OnlineMemcon::installObserver(sim::ControllerConfig &cfg,
+OnlineMemcon::installObserver(ControllerHooks &hooks,
                               OnlineMemcon *&slot)
 {
-    cfg.writeObserver = [&slot](std::uint64_t addr, Tick now) {
+    hooks.writeObserver = [&slot](std::uint64_t addr, Tick now) {
         if (slot)
             slot->observeWrite(addr, now);
     };
-    cfg.errorObserver = [&slot](std::uint64_t addr,
-                                dram::EccStatus status, Tick now) {
+    hooks.errorObserver = [&slot](std::uint64_t addr,
+                                  dram::EccStatus status, Tick now) {
         if (slot)
             slot->observeEccEvent(addr, status, now);
     };
-    cfg.activateObserver = [&slot](std::uint64_t addr, Tick now) {
+    hooks.activateObserver = [&slot](std::uint64_t addr, Tick now) {
         if (slot)
             slot->observeActivate(addr, now);
     };
@@ -224,68 +224,38 @@ OnlineMemcon::enterFallback(Tick now)
 }
 
 void
-OnlineMemcon::startCandidateTests(Tick now)
+OnlineMemcon::startTests(std::deque<RowId> &queue, std::size_t reserve,
+                         bool is_scrub, Tick now)
 {
-    // Scrub rides the leftover slots, so a reservation keeps a
-    // write-heavy stream (candidate queue never empty) from starving
-    // it outright.
-    std::size_t reserve =
-        scrubQueue.empty() ? 0 : cfg.resilience.scrubReservedSlots;
-    while (!pendingCandidates.empty() && engine.freeSlots() > reserve) {
-        RowId row = pendingCandidates.front();
-        pendingCandidates.pop_front();
-        // A write since candidacy disqualifies the row: PRIL would
-        // have evicted it, but it may already sit in our queue (a
-        // stale read-only candidate re-enters through PRIL later).
-        // Pinned rows are never worth re-certifying.
-        if (engine.isUnderTest(row) || loRows.test(row.value()) ||
+    while (!queue.empty() && engine.freeSlots() > reserve) {
+        RowId row = queue.front();
+        queue.pop_front();
+        // Skip stale entries: a row already under test, a candidate
+        // that reached LO-REF or was pinned (never worth
+        // re-certifying) since it was queued, a scrub row demoted
+        // since the sweep picked it. A LO-REF row is never pinned, so
+        // the pin check only ever drops candidates.
+        if (engine.isUnderTest(row) ||
+            loRows.test(row.value()) != is_scrub ||
             resilience.isPinned(row))
             continue;
         bool ok = engine.beginTest(
             row, [](RowId r, std::uint64_t *dst, std::size_t n) {
                 syntheticFillRow(r, dst, n);
             });
-        if (!ok)
-            break; // reserve region exhausted (Copy&Compare)
-
+        if (!ok) {
+            // Reserve region exhausted (Copy&Compare): the row waits
+            // at the front of its queue for a reserve row to free up.
+            queue.push_front(row);
+            break;
+        }
         ActiveTest test;
         test.row = row;
         test.readbackAt = now + cfg.testIdle;
         test.requestsLeft = geom.columnsPerRow; // first read pass
         if (cfg.testEngine.mode == TestMode::CopyAndCompare)
             test.requestsLeft += geom.columnsPerRow; // copy writes
-        activeTests.push_back(test);
-    }
-}
-
-void
-OnlineMemcon::startScrubTests(Tick now)
-{
-    // Scrub rides the same slot machinery as ordinary tests but
-    // yields to PRIL's candidates (it runs after them and takes the
-    // leftover slots). The row keeps its LO-REF state while the
-    // re-certification is in flight; only a failure demotes it.
-    while (!scrubQueue.empty() && engine.freeSlots() > 0) {
-        RowId row = scrubQueue.front();
-        scrubQueue.pop_front();
-        // Demoted or re-queued since the sweep picked it: skip.
-        if (!loRows.test(row.value()) || engine.isUnderTest(row))
-            continue;
-        bool ok = engine.beginTest(
-            row, [](RowId r, std::uint64_t *dst, std::size_t n) {
-                syntheticFillRow(r, dst, n);
-            });
-        if (!ok) {
-            scrubQueue.push_front(row);
-            break; // reserve region exhausted (Copy&Compare)
-        }
-        ActiveTest test;
-        test.row = row;
-        test.readbackAt = now + cfg.testIdle;
-        test.requestsLeft = geom.columnsPerRow;
-        if (cfg.testEngine.mode == TestMode::CopyAndCompare)
-            test.requestsLeft += geom.columnsPerRow;
-        test.isScrub = true;
+        test.isScrub = is_scrub;
         activeTests.push_back(test);
     }
 }
@@ -316,17 +286,11 @@ OnlineMemcon::pumpTestTraffic(Tick now)
         while (budget > 0 && test.requestsLeft > 0) {
             dram::Coordinates c = geom.rowFromFlatIndex(test.row);
             c.column = test.column % geom.columnsPerRow;
-            sim::Request req;
-            req.isTest = true;
-            req.coreId = -1;
-            req.addr = geom.compose(c);
             bool copy_write =
                 cfg.testEngine.mode == TestMode::CopyAndCompare &&
                 !readback_phase &&
                 test.requestsLeft <= geom.columnsPerRow;
-            req.type = copy_write ? sim::Request::Type::Write
-                                  : sim::Request::Type::Read;
-            if (!mc.enqueue(std::move(req), now))
+            if (!mc.enqueueTest(geom.compose(c), copy_write, now))
                 return; // queue at the test admission limit
             --test.requestsLeft;
             ++test.column;
@@ -347,12 +311,7 @@ OnlineMemcon::pumpVictimRefreshes(Tick now)
         RowId victim = victimRefreshQueue.front();
         dram::Coordinates c = geom.rowFromFlatIndex(victim);
         c.column = 0;
-        sim::Request req;
-        req.isTest = true;
-        req.coreId = -1;
-        req.addr = geom.compose(c);
-        req.type = sim::Request::Type::Read;
-        if (!mc.enqueue(std::move(req), now))
+        if (!mc.enqueueTest(geom.compose(c), false, now))
             return; // queue at the test admission limit; retry next tick
         victimRefreshQueue.pop_front();
         ++victimRefreshCount;
@@ -596,8 +555,17 @@ OnlineMemcon::tick(Tick now)
             if (!victimRefreshQueue.empty())
                 pumpVictimRefreshes(now);
         }
-        startCandidateTests(now);
-        startScrubTests(now);
+        // Scrub yields to PRIL's candidates: it runs after them and
+        // takes the leftover slots, with a reservation so a
+        // write-heavy stream (candidate queue never empty) cannot
+        // starve it outright. A scrubbed row keeps its LO-REF state
+        // while the re-certification is in flight; only a failure
+        // demotes it.
+        startTests(pendingCandidates,
+                   scrubQueue.empty() ? 0
+                                      : cfg.resilience.scrubReservedSlots,
+                   false, now);
+        startTests(scrubQueue, 0, true, now);
         pumpTestTraffic(now);
     }
     completeDueTests(now);

@@ -36,6 +36,12 @@
  *    into the demote/backoff/pin ladder, and a bank under sustained
  *    hammering degrades to blanket HI-REF until the pressure stops.
  *
+ * OnlineMemcon sees the controller only through core::ControllerPort
+ * (enqueue a test access, re-target the refresh rate) and the hooks
+ * of core::ControllerHooks (controller_port.hh); sim::MemoryController
+ * implements both, and a test can drive the mechanism through a
+ * recording fake.
+ *
  * Because cycle simulation covers milliseconds while PRIL's natural
  * quantum is ~1 s, the quantum and in-test idle period are
  * configurable and typically time-compressed in experiments; the
@@ -54,16 +60,12 @@
 
 #include "common/bitvector.hh"
 #include "common/stats.hh"
+#include "core/controller_port.hh"
 #include "core/pril.hh"
 #include "core/resilience.hh"
 #include "core/test_engine.hh"
 #include "dram/address_map.hh"
-// Deliberate back-edge: the closed-loop online engine observes and
-// re-targets the sim::MemoryController directly. Inverting it (a
-// core-side observer interface the controller implements) is tracked
-// in ROADMAP.md; until then this is the one sanctioned core -> sim
-// edge.
-#include "sim/controller.hh" // lint:allow(layering)
+#include "dram/organization.hh"
 
 namespace memcon::core
 {
@@ -129,22 +131,22 @@ class OnlineMemcon
 
     /**
      * @param geometry    module geometry (page = row granularity)
-     * @param controller  the controller to observe and re-target;
-     *                    this object installs itself as the write
-     *                    observer via attach()
+     * @param controller  the controller to send test traffic to and
+     *                    re-target; its hooks reach this object
+     *                    through installObserver()
      */
     OnlineMemcon(const dram::Geometry &geometry,
-                 sim::MemoryController &controller,
+                 ControllerPort &controller,
                  const OnlineMemconConfig &config,
                  RowFailureOracle oracle = {});
 
     /**
-     * Install the write and error observers into a controller
-     * config. Call before constructing the controller, then pass the
-     * controller to this class; split because the controller takes
-     * its config by value at construction.
+     * Install the write, activate and error observers into a
+     * controller's hooks. Call before constructing the controller,
+     * then pass the controller to this class; split because the
+     * controller takes its config by value at construction.
      */
-    static void installObserver(sim::ControllerConfig &cfg,
+    static void installObserver(ControllerHooks &hooks,
                                 OnlineMemcon *&slot);
 
     /** Report a demand write (wired to the controller observer). */
@@ -213,9 +215,11 @@ class OnlineMemcon
     /**
      * CRC over the mechanism's visible state: PRIL, refresh states
      * (LO-REF/ever-written maps), queued and in-flight tests, quantum
-     * phase, and the stat counters. The service snapshot records it
-     * per tenant; after a journal-replay restore the recomputed value
-     * must match bit-for-bit or the resume is rejected.
+     * phase, governor and fallback state, and the write, demotion
+     * and test counts; the event counters of stats() are not mixed
+     * in. The service snapshot records it per tenant; after a
+     * journal-replay restore the recomputed value must match
+     * bit-for-bit or the resume is rejected.
      */
     std::uint32_t stateFingerprint() const;
 
@@ -251,8 +255,8 @@ class OnlineMemcon
         bool isScrub = false; //!< re-certification of a LO-REF row
     };
 
-    void startCandidateTests(Tick now);
-    void startScrubTests(Tick now);
+    void startTests(std::deque<RowId> &queue, std::size_t reserve,
+                    bool is_scrub, Tick now);
     void pumpTestTraffic(Tick now);
     void pumpVictimRefreshes(Tick now);
     void completeDueTests(Tick now);
@@ -263,7 +267,7 @@ class OnlineMemcon
     RowId rowOfAddr(std::uint64_t addr) const;
 
     dram::Geometry geom;
-    sim::MemoryController &mc;
+    ControllerPort &mc;
     OnlineMemconConfig cfg;
     RowFailureOracle oracle;
 

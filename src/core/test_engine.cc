@@ -1,7 +1,5 @@
 #include "core/test_engine.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "common/ordered.hh"
 #include "common/simd.hh"
@@ -13,7 +11,6 @@ TestEngine::TestEngine(const TestEngineConfig &config) : cfg(config)
 {
     fatal_if(cfg.slots == 0, "test engine needs at least one slot");
     fatal_if(cfg.wordsPerRow == 0, "rows must hold at least one word");
-    slotBusy.assign(cfg.slots, false);
 
     if (cfg.mode == TestMode::CopyAndCompare) {
         fatal_if(cfg.reserveRowsPerBank == 0 || cfg.banks == 0,
@@ -31,8 +28,7 @@ TestEngine::TestEngine(const TestEngineConfig &config) : cfg(config)
 std::size_t
 TestEngine::freeSlots() const
 {
-    std::size_t busy = sessions.size();
-    return cfg.slots - busy;
+    return cfg.slots - sessions.size();
 }
 
 bool
@@ -51,11 +47,6 @@ TestEngine::beginTest(RowId row, const BlockRowReader &reader)
         return false;
 
     Session session;
-    auto slot_it = std::find(slotBusy.begin(), slotBusy.end(), false);
-    panic_if(slot_it == slotBusy.end(), "slot accounting out of sync");
-    session.slot = static_cast<std::size_t>(slot_it - slotBusy.begin());
-    *slot_it = true;
-
     if (cfg.mode == TestMode::ReadAndCompare) {
         // Buffer the whole row in the controller.
         session.reserveRow = 0;
@@ -73,17 +64,6 @@ TestEngine::beginTest(RowId row, const BlockRowReader &reader)
     sessions.emplace(row, std::move(session));
     ++started;
     return true;
-}
-
-bool
-TestEngine::beginTest(RowId row, const RowReader &reader)
-{
-    return beginTest(
-        row, BlockRowReader([&reader](RowId r, std::uint64_t *dst,
-                                      std::size_t n_words) {
-            for (std::size_t w = 0; w < n_words; ++w)
-                dst[w] = reader(r, w);
-        }));
 }
 
 std::optional<Redirection>
@@ -106,8 +86,6 @@ TestEngine::redirect(RowId row) const
 void
 TestEngine::releaseSession(const Session &session)
 {
-    panic_if(!slotBusy[session.slot], "slot accounting out of sync");
-    slotBusy[session.slot] = false;
     if (cfg.mode == TestMode::CopyAndCompare)
         freeReserveRows.push_back(session.reserveRow);
 }
@@ -151,17 +129,6 @@ TestEngine::completeTest(RowId row, const BlockRowReader &reader)
     else
         ++failed;
     return clean ? TestOutcome::Pass : TestOutcome::Fail;
-}
-
-TestOutcome
-TestEngine::completeTest(RowId row, const RowReader &reader)
-{
-    return completeTest(
-        row, BlockRowReader([&reader](RowId r, std::uint64_t *dst,
-                                      std::size_t n_words) {
-            for (std::size_t w = 0; w < n_words; ++w)
-                dst[w] = reader(r, w);
-        }));
 }
 
 std::vector<RowId>

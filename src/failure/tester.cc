@@ -1,9 +1,7 @@
 #include "failure/tester.hh"
 
 #include <cmath>
-#include <cstring>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/simd.hh"
 
@@ -69,19 +67,18 @@ DramTester::testWithContentBlock(const ContentProvider &content,
     TestResult result;
     result.rowsTested = limit;
 
-    Arena arena;
-    std::uint64_t *expected = arena.allocate<std::uint64_t>(n_words);
-    std::uint64_t *readback = arena.allocate<std::uint64_t>(n_words);
+    std::vector<std::uint64_t> expected(n_words);
+    std::vector<std::uint64_t> readback(n_words);
 
     for (std::uint64_t r = 0; r < limit; ++r) {
         std::uint64_t logical_row = model.scrambler().logicalRow(r);
-        content.fillRow(logical_row, expected, n_words);
+        content.fillRow(logical_row, expected.data(), n_words);
         model.readbackPhysicalRow(RowId{r}, content, interval_ms,
-                                  readback, n_words);
-        if (!simd::rowsEqual(expected, readback, n_words)) {
+                                  readback.data(), n_words);
+        if (!simd::rowsEqual(expected.data(), readback.data(), n_words)) {
             ++result.rowsFailing;
-            result.failingBits +=
-                simd::xorPopcount(expected, readback, n_words);
+            result.failingBits += simd::xorPopcount(
+                expected.data(), readback.data(), n_words);
         }
     }
     return result;
@@ -160,37 +157,35 @@ DramTester::batteryFailingBitCounts(
     const std::size_t n_words = rowWords();
     std::vector<PatternBitCounts> out(battery.size());
 
-    Arena arena;
-    std::uint64_t *expected = arena.allocate<std::uint64_t>(n_words);
-    std::uint64_t *readback = arena.allocate<std::uint64_t>(n_words);
-    std::uint64_t *diff = arena.allocate<std::uint64_t>(n_words);
-    std::uint64_t *fresh = arena.allocate<std::uint64_t>(n_words);
+    std::vector<std::uint64_t> expected(n_words);
+    std::vector<std::uint64_t> readback(n_words);
+    std::vector<std::uint64_t> diff(n_words);
+    std::vector<std::uint64_t> fresh(n_words);
     // One seen-mask per row, accumulated across the battery.
-    std::uint64_t *seen = arena.allocate<std::uint64_t>(limit * n_words);
-    std::memset(seen, 0, limit * n_words * sizeof(std::uint64_t));
+    std::vector<std::uint64_t> seen(limit * n_words);
 
     for (std::size_t i = 0; i < battery.size(); ++i) {
         const PatternContent &pattern = battery[i];
         for (std::uint64_t r = 0; r < limit; ++r) {
             std::uint64_t logical_row = model.scrambler().logicalRow(r);
-            pattern.fillRow(logical_row, expected, n_words);
+            pattern.fillRow(logical_row, expected.data(), n_words);
             model.readbackPhysicalRow(RowId{r}, pattern, interval_ms,
-                                      readback, n_words);
+                                      readback.data(), n_words);
             for (std::size_t w = 0; w < n_words; ++w)
                 diff[w] = expected[w] ^ readback[w];
-            std::uint64_t bits = simd::popcountWords(diff, n_words);
+            std::uint64_t bits = simd::popcountWords(diff.data(), n_words);
             if (bits == 0)
                 continue;
             out[i].failingBits += bits;
 
             // New bits = diff with everything already seen masked
             // off; then fold this pattern's diff into the row mask.
-            std::uint64_t *row_seen = seen + r * n_words;
-            std::memcpy(fresh, diff, n_words * sizeof(std::uint64_t));
-            simd::andNotWords(fresh, row_seen, n_words);
+            std::uint64_t *row_seen = seen.data() + r * n_words;
+            fresh = diff;
+            simd::andNotWords(fresh.data(), row_seen, n_words);
             out[i].newFailingBits +=
-                simd::popcountWords(fresh, n_words);
-            simd::orWords(row_seen, diff, n_words);
+                simd::popcountWords(fresh.data(), n_words);
+            simd::orWords(row_seen, diff.data(), n_words);
         }
     }
     return out;

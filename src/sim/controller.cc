@@ -63,6 +63,17 @@ MemoryController::enqueue(Request request, Tick now)
 }
 
 bool
+MemoryController::enqueueTest(std::uint64_t addr, bool is_write, Tick now)
+{
+    Request req;
+    req.type = is_write ? Request::Type::Write : Request::Type::Read;
+    req.addr = addr;
+    req.coreId = -1;
+    req.isTest = true;
+    return enqueue(std::move(req), now);
+}
+
+bool
 MemoryController::idle() const
 {
     return readQueue.empty() && writeQueue.empty() && inflight.empty();

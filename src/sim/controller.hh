@@ -25,6 +25,7 @@
 
 #include "common/stats.hh"
 #include "common/units.hh"
+#include "core/controller_port.hh"
 #include "dram/channel.hh"
 #include "dram/ecc.hh"
 #include "sim/request.hh"
@@ -32,7 +33,11 @@
 namespace memcon::sim
 {
 
-struct ControllerConfig
+/**
+ * Controller knobs; the observer hooks come from core::ControllerHooks
+ * (the write, activate and error observers MEMCON listens on).
+ */
+struct ControllerConfig : core::ControllerHooks
 {
     std::size_t readQueueCapacity = 32;
     std::size_t writeQueueCapacity = 32;
@@ -64,20 +69,6 @@ struct ControllerConfig
     std::size_t testAdmissionLimit = 16;
 
     /**
-     * Invoked for every accepted demand write (MEMCON's online
-     * write-tracking hook; test traffic is not reported).
-     */
-    std::function<void(std::uint64_t addr, Tick now)> writeObserver;
-
-    /**
-     * Invoked for every row activation (ACT) the controller issues,
-     * demand and test traffic alike - the accounting read-disturb
-     * analysis hangs off. The address is the request's block address;
-     * the observer maps it to a row.
-     */
-    std::function<void(std::uint64_t addr, Tick now)> activateObserver;
-
-    /**
      * Models the ECC decode of the data a completed demand read
      * returns (fault-injection hook). Absent means every read
      * decodes clean. Test-traffic reads are not probed - their
@@ -85,17 +76,9 @@ struct ControllerConfig
      */
     std::function<dram::EccStatus(std::uint64_t addr, Tick now)>
         eccProbe;
-
-    /**
-     * Invoked for every demand read whose decode was not Ok (the
-     * error-event hook the resilience layer listens on).
-     */
-    std::function<void(std::uint64_t addr, dram::EccStatus status,
-                       Tick now)>
-        errorObserver;
 };
 
-class MemoryController
+class MemoryController final : public core::ControllerPort
 {
   public:
     MemoryController(const dram::Geometry &geometry,
@@ -105,6 +88,13 @@ class MemoryController
     /** Try to accept a request; false when the target queue is full. */
     bool enqueue(Request request, Tick now);
 
+    /**
+     * Accept one MEMCON test access (isTest, no issuing core): the
+     * only place test-priority requests are built.
+     */
+    bool enqueueTest(std::uint64_t addr, bool is_write,
+                     Tick now) override;
+
     /** Advance one DRAM clock: issue at most one command. */
     void tick(Tick now);
 
@@ -113,7 +103,7 @@ class MemoryController
      * as the LO-REF row fraction changes). Takes effect from the
      * next scheduled refresh.
      */
-    void setRefreshReduction(double reduction);
+    void setRefreshReduction(double reduction) override;
 
     /** Current effective reduction. */
     double refreshReduction() const { return cfg.refreshReduction; }

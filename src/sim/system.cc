@@ -47,25 +47,17 @@ TestTrafficSource::tick(Tick now)
     }
 
     // Feed the controller as fast as it accepts, one request per
-    // tick, staying behind demand traffic via the isTest flag.
-    Request req;
-    req.isTest = true;
-    req.coreId = -1;
+    // tick, staying behind demand traffic as test-priority requests.
     std::uint64_t col = nextColumn % geom.columnsPerRow;
-    req.addr = currentRowBase + col * geom.blockBytes;
-    if (readsLeft > 0) {
-        req.type = Request::Type::Read;
-        if (mc.enqueue(std::move(req), now)) {
-            --readsLeft;
-            ++nextColumn;
-        }
-    } else if (writesLeft > 0) {
-        req.type = Request::Type::Write;
-        if (mc.enqueue(std::move(req), now)) {
-            --writesLeft;
-            ++nextColumn;
-        }
-    }
+    std::uint64_t addr = currentRowBase + col * geom.blockBytes;
+    bool is_write = readsLeft == 0;
+    if (!mc.enqueueTest(addr, is_write, now))
+        return;
+    if (is_write)
+        --writesLeft;
+    else
+        --readsLeft;
+    ++nextColumn;
 }
 
 double

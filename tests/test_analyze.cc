@@ -391,7 +391,7 @@ TEST(AnalyzeLayering, IncludeCycleReportedWithChain)
 
 TEST(AnalyzeLayering, BackEdgeSuppressedByJustifiedAllow)
 {
-    // The sanctioned escape, as src/core/online_memcon.hh uses it.
+    // The justified escape for an include that must cross a layer.
     Sources tree = {
         {"src/core/online.hh",
          "#include \"sim/controller.hh\" // lint:allow(layering)\n"},

@@ -25,6 +25,7 @@
 #include "dram/address_map.hh"
 #include "failure/disturb.hh"
 #include "failure/injector.hh"
+#include "sim/controller.hh"
 #include "trace/hammer.hh"
 #include "trace/tenant_stream.hh"
 

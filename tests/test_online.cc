@@ -3,11 +3,18 @@
  * Tests for the closed-loop, cycle-domain MEMCON integration:
  * PRIL fed by real controller write traffic, test traffic injection,
  * slot-limited testing, abort-on-write, and the emergent refresh
- * reduction re-targeting the controller.
+ * reduction re-targeting the controller. The ControllerPort suites
+ * pin the exact traffic OnlineMemcon sends through a recording fake
+ * controller.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "core/controller_port.hh"
 #include "core/online_memcon.hh"
 #include "sim/system.hh"
 #include "trace/cpu_gen.hh"
@@ -21,8 +28,9 @@ namespace
 struct Rig
 {
     explicit Rig(OnlineMemconConfig cfg = smallConfig(),
-                 OnlineMemcon::RowFailureOracle oracle = {})
-        : geom(smallGeom()),
+                 OnlineMemcon::RowFailureOracle oracle = {},
+                 dram::Geometry geometry = smallGeom())
+        : geom(geometry),
           timing(dram::TimingParams::ddr3_1600(dram::Density::Gb8, TimeMs{16.0}))
     {
         sim::ControllerConfig mc_cfg;
@@ -231,6 +239,28 @@ TEST(OnlineMemcon, SlotBudgetQueuesCandidates)
         EXPECT_TRUE(rig.memcon->isLoRef(RowId{r})) << "row " << r;
 }
 
+TEST(OnlineMemcon, CopyAndCompareReserveExhaustionKeepsCandidates)
+{
+    // One reserve row and four slots: every candidate past the first
+    // in-flight test finds the reserve region full. Read-only rows
+    // are swept once, so a candidate dropped there is never tested;
+    // each must wait for the reserve row instead.
+    dram::Geometry geom = Rig::smallGeom();
+    geom.banks = 1;
+    geom.rowsPerBank = 64;
+    OnlineMemconConfig cfg = Rig::smallConfig();
+    cfg.testIdle = usToTicks(5.0);
+    cfg.testEngine.mode = TestMode::CopyAndCompare;
+    cfg.testEngine.slots = 4;
+    cfg.testEngine.reserveRowsPerBank = 1;
+    cfg.testEngine.banks = 1;
+    Rig rig(cfg, {}, geom);
+    rig.spin(600000); // 750 us: 64 serialized tests after the sweep
+    EXPECT_EQ(rig.memcon->testsStarted(), 64u);
+    EXPECT_EQ(rig.memcon->testsPassed(), 64u);
+    EXPECT_DOUBLE_EQ(rig.memcon->loRefFraction(), 1.0);
+}
+
 TEST(OnlineMemcon, FullSystemClosedLoop)
 {
     // End to end with real cores: the reduction emerges and the
@@ -283,6 +313,202 @@ TEST(OnlineMemcon, FullSystemClosedLoop)
     // refresh rate follows.
     EXPECT_GT(memcon_lo, 0.15);
     EXPECT_LT(memcon_rate, base_rate * 0.9);
+}
+
+// ---------------------------------------------------------------------
+// OnlineMemcon over a recording fake ControllerPort
+// ---------------------------------------------------------------------
+
+/** Accepts (or refuses) every test access and records each call. */
+struct RecordingPort final : ControllerPort
+{
+    struct Access
+    {
+        std::uint64_t addr;
+        bool isWrite;
+    };
+
+    bool
+    enqueueTest(std::uint64_t addr, bool is_write, Tick) override
+    {
+        if (!accepting)
+            return false;
+        accesses.push_back({addr, is_write});
+        return true;
+    }
+
+    void
+    setRefreshReduction(double reduction) override
+    {
+        retargets.push_back({*clock, reduction});
+        emergentAtRetarget.push_back(memcon->emergentReduction());
+    }
+
+    bool accepting = true;
+    std::vector<Access> accesses;
+    std::vector<std::pair<Tick, double>> retargets;
+    std::vector<double> emergentAtRetarget;
+    const Tick *clock = nullptr;
+    const OnlineMemcon *memcon = nullptr;
+};
+
+/** OnlineMemcon alone, ticked on the DDR3-1600 clock. */
+struct PortRig
+{
+    PortRig(const OnlineMemconConfig &cfg, const dram::Geometry &geometry)
+        : geom(geometry), memcon(geom, port, cfg)
+    {
+        port.clock = &now;
+        port.memcon = &memcon;
+    }
+
+    void
+    spinUntil(Tick end)
+    {
+        while (now < end) {
+            now += nsToTicks(1.25);
+            memcon.tick(now);
+        }
+    }
+
+    RowId
+    rowOf(std::uint64_t addr) const
+    {
+        return geom.flatRowIndex(geom.decompose(addr));
+    }
+
+    std::uint64_t
+    addrOf(std::uint64_t row, unsigned column = 0) const
+    {
+        dram::Coordinates c = geom.rowFromFlatIndex(RowId{row});
+        c.column = column;
+        return geom.compose(c);
+    }
+
+    dram::Geometry geom;
+    RecordingPort port;
+    OnlineMemcon memcon;
+    Tick now{};
+};
+
+dram::Geometry
+eightRowGeom()
+{
+    dram::Geometry g;
+    g.banks = 1;
+    g.rowsPerBank = 8;
+    return g;
+}
+
+/**
+ * One slot serializes the tests, so the recorded traffic splits into
+ * one block per test: a read pass, the copy writes (Copy&Compare
+ * only), and the read-back pass, each over every column of the row
+ * in order.
+ */
+void
+expectOneBlockPerTest(TestMode mode)
+{
+    OnlineMemconConfig cfg = Rig::smallConfig();
+    cfg.quantum = usToTicks(10.0);
+    cfg.testIdle = usToTicks(5.0);
+    cfg.testEngine.mode = mode;
+    cfg.testEngine.slots = 1;
+    PortRig rig(cfg, eightRowGeom());
+    rig.memcon.observeWrite(rig.addrOf(5), rig.now); // a PRIL candidate
+    rig.spinUntil(usToTicks(100.0));
+
+    // The written row comes through PRIL, the other seven through the
+    // read-only sweep; each is tested once and passes.
+    const std::uint64_t rows = rig.geom.totalRows();
+    ASSERT_EQ(rig.memcon.testsStarted(), rows);
+    ASSERT_EQ(rig.memcon.testsPassed(), rows);
+    const bool copy = mode == TestMode::CopyAndCompare;
+    const unsigned cols = rig.geom.columnsPerRow;
+    const std::size_t per_test = (copy ? 3u : 2u) * cols;
+    ASSERT_EQ(rig.port.accesses.size(), rows * per_test);
+
+    std::set<std::uint64_t> tested;
+    for (std::size_t t = 0; t < rows; ++t) {
+        const RowId row = rig.rowOf(rig.port.accesses[t * per_test].addr);
+        tested.insert(row.value());
+        for (std::size_t i = 0; i < per_test; ++i) {
+            const RecordingPort::Access &a =
+                rig.port.accesses[t * per_test + i];
+            EXPECT_EQ(rig.rowOf(a.addr), row) << "test " << t << " #" << i;
+            EXPECT_EQ(rig.geom.decompose(a.addr).column, i % cols);
+            EXPECT_EQ(a.isWrite, copy && i / cols == 1)
+                << "test " << t << " #" << i;
+        }
+    }
+    EXPECT_EQ(tested.size(), rows);
+}
+
+TEST(OnlineMemconPort, ReadAndCompareReadsTheRowTwice)
+{
+    expectOneBlockPerTest(TestMode::ReadAndCompare);
+}
+
+TEST(OnlineMemconPort, CopyAndCompareAddsOneWritePass)
+{
+    expectOneBlockPerTest(TestMode::CopyAndCompare);
+}
+
+TEST(OnlineMemconPort, VictimRefreshIsOneReadAtColumnZero)
+{
+    OnlineMemconConfig cfg = Rig::smallConfig();
+    cfg.quantum = msToTicks(10.0); // no test traffic in this window
+    cfg.disturbGuard.enabled = true;
+    cfg.disturbGuard.actAlertThreshold = 16;
+    std::vector<RowId> refreshed;
+    cfg.victimRefresher = [&refreshed](RowId victim, Tick) {
+        refreshed.push_back(victim);
+    };
+    dram::Geometry geom = eightRowGeom();
+    geom.rowsPerBank = 64;
+    PortRig rig(cfg, geom);
+
+    // Sixteen ACTs of row 10 cross the alert threshold once.
+    for (int i = 0; i < 16; ++i)
+        rig.memcon.observeActivate(rig.addrOf(10, 7), rig.now);
+    rig.port.accepting = false; // admission limit reached: retry later
+    rig.spinUntil(usToTicks(1.0));
+    EXPECT_TRUE(rig.port.accesses.empty());
+    EXPECT_EQ(rig.memcon.victimRefreshes(), 0u);
+
+    rig.port.accepting = true;
+    rig.spinUntil(usToTicks(2.0));
+    const std::vector<RowId> victims = {RowId{9}, RowId{11}, RowId{8},
+                                        RowId{12}};
+    ASSERT_EQ(rig.port.accesses.size(), victims.size());
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+        const RecordingPort::Access &a = rig.port.accesses[i];
+        EXPECT_FALSE(a.isWrite);
+        EXPECT_EQ(rig.rowOf(a.addr), victims[i]);
+        EXPECT_EQ(rig.geom.decompose(a.addr).column, 0u);
+    }
+    EXPECT_EQ(rig.memcon.victimRefreshes(), victims.size());
+    EXPECT_EQ(refreshed, victims);
+}
+
+TEST(OnlineMemconPort, EveryRetargetPeriodSetsTheEmergentReduction)
+{
+    OnlineMemconConfig cfg = Rig::smallConfig(); // retarget every 25 us
+    PortRig rig(cfg, Rig::smallGeom());
+    for (std::uint64_t r = 0; r < 64; ++r)
+        rig.memcon.observeWrite(rig.addrOf(r), rig.now);
+    rig.spinUntil(usToTicks(300.0));
+
+    ASSERT_EQ(rig.port.retargets.size(), 12u);
+    for (std::size_t i = 0; i < rig.port.retargets.size(); ++i) {
+        const auto &[at, reduction] = rig.port.retargets[i];
+        EXPECT_EQ(at, cfg.retargetPeriod * (i + 1)) << "call " << i;
+        EXPECT_EQ(reduction, rig.port.emergentAtRetarget[i])
+            << "call " << i;
+    }
+    EXPECT_GT(rig.port.retargets.back().second, 0.0);
+    EXPECT_EQ(rig.port.retargets.back().second,
+              rig.memcon.emergentReduction());
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include "core/online_memcon.hh"
 #include "failure/injector.hh"
 #include "failure/vrt.hh"
+#include "sim/controller.hh"
 
 namespace memcon::core
 {

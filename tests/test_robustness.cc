@@ -142,18 +142,10 @@ TEST(Controller, TestAdmissionLimitKeepsDemandHeadroom)
 
     // Test requests are rejected once the queue reaches the limit...
     Tick now{};
-    for (int i = 0; i < 4; ++i) {
-        sim::Request t;
-        t.type = sim::Request::Type::Read;
-        t.isTest = true;
-        t.addr = static_cast<std::uint64_t>(i) * 64;
-        ASSERT_TRUE(mc.enqueue(std::move(t), now));
-    }
-    sim::Request extra_test;
-    extra_test.type = sim::Request::Type::Read;
-    extra_test.isTest = true;
-    extra_test.addr = 4 * 64;
-    EXPECT_FALSE(mc.enqueue(std::move(extra_test), now));
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(
+            mc.enqueueTest(static_cast<std::uint64_t>(i) * 64, false, now));
+    EXPECT_FALSE(mc.enqueueTest(4 * 64, false, now));
 
     // ...while demand still fits.
     sim::Request demand;
