@@ -105,7 +105,7 @@ main()
         if (now >= next_report) {
             next_report += usToTicks(200.0);
             std::printf("%5.0f  %5.1f%%  %8.1f%%  %8s  %6llu\n",
-                        ticksToMs(now) * 1000.0,
+                        ticksToMs(now).value() * 1000.0,
                         100.0 * om->loRefFraction(),
                         100.0 * mc.refreshReduction(),
                         om->inFallback() ? "ACTIVE" : "-",

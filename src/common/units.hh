@@ -7,7 +7,8 @@
  * (tCK = 1.25 ns = 1250 ticks). The write-interval machinery, which
  * operates at millisecond scale over minutes of wall time, uses
  * TimeMs (milliseconds over a double) to avoid mixing the two
- * regimes.
+ * regimes. The engine's page-time totals are TimeNs, integer
+ * nanoseconds, so they sum exactly in any order.
  *
  * Both used to be bare aliases, so a picosecond quantity flowed into
  * a millisecond API without complaint. They are now distinct strong
@@ -114,6 +115,14 @@ using Tick = StrongUnit<struct TickTag, std::uint64_t>;
 /** Coarse time in milliseconds (write-interval domain). */
 using TimeMs = StrongUnit<struct TimeMsTag, double>;
 
+/**
+ * Engine page-time in integer nanoseconds. LO-REF dwell totals are
+ * sums of these, exact in any order. Tick would overflow there: 2^17
+ * pages over a 229.4 s trace is 3.0e19 ps, past the 1.8e19 a uint64
+ * holds, but only 3.0e16 ns.
+ */
+using TimeNs = StrongUnit<struct TimeNsTag, std::uint64_t>;
+
 /** Number of retired instructions. */
 using InstCount = std::uint64_t;
 
@@ -168,6 +177,25 @@ constexpr Tick
 timeMsToTicks(TimeMs t)
 {
     return msToTicks(t.value());
+}
+
+/** Dimensionless nanoseconds per millisecond. */
+constexpr std::uint64_t nsPerMs = 1000 * 1000;
+
+/** Convert a millisecond-domain time to integer ns, rounding. */
+constexpr TimeNs
+timeMsToNs(TimeMs t)
+{
+    return TimeNs{static_cast<std::uint64_t>(
+        t.value() * static_cast<double>(nsPerMs) + 0.5)};
+}
+
+/** Convert integer ns to the millisecond domain. */
+constexpr TimeMs
+timeNsToMs(TimeNs t)
+{
+    return TimeMs{static_cast<double>(t.value()) /
+                  static_cast<double>(nsPerMs)};
 }
 
 constexpr std::uint64_t KiB = 1024;

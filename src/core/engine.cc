@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <thread>
 
 #include "common/bitvector.hh"
@@ -46,15 +47,13 @@ clampedBufferCapacity(const MemconConfig &cfg, std::size_t population)
 }
 
 /**
- * Everything one shard's run produces, before reduction. Integer
- * counters sum in shard-index order; the per-page floats (indexed by
- * local page, which is ascending-global within the shard) reduce in
- * global page order in finalize() - FP addition is not associative,
- * and fixing one summation order for every sharding is what makes
- * flat and sharded runs bit-identical (DESIGN.md §17).
+ * Everything one shard's run produces, before reduction. Every
+ * counter, LO-REF dwell included, is an exact integer, so shards
+ * reduce in any order (DESIGN.md §17).
  */
 struct ShardOutcome
 {
+    std::uint64_t pages = 0;
     std::uint64_t writes = 0;
     std::uint64_t testsRun = 0;
     std::uint64_t testsPassed = 0;
@@ -73,21 +72,33 @@ struct ShardOutcome
     std::uint64_t peakStagedEvents = 0;
     std::uint64_t acts = 0; // memcon:shard_local - row activations
     std::size_t trackerStorageBytes = 0;
+    TimeNs loTime{}; // memcon:shard_local - summed LO-REF dwell
 
-    /** Closing per-page state, local (ascending-global) order.
-     *  Produced shard-privately, consumed by finalize(). */
-    std::vector<double> hiMs;               // memcon:shard_local
-    std::vector<double> loMs;               // memcon:shard_local
-    std::vector<std::uint64_t> writeCount;  // memcon:shard_local
-    std::vector<std::uint8_t> atLo;         // memcon:shard_local
+    /** Closing per-page state in local (ascending-global) order;
+     *  empty unless capturePageEndState. */
+    std::vector<MemconResult::PageEndState> pageEnd; // memcon:shard_local
 };
 
 /**
- * Reduce shard outcomes into the public result. Counters sum in
- * shard-index order; per-page floats reduce in global page order via
- * one cursor per shard (local indices are ascending-global, so a
- * global walk visits each shard's pages in local order). Derived
- * times come from the reduced totals, never from per-shard partials.
+ * LO and HI dwell are carved out of pages x horizon integer ns, so
+ * that product must fit the counter.
+ */
+void
+checkPageTimeFits(std::uint64_t num_pages, double duration_ms)
+{
+    constexpr std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    const bool fits =
+        duration_ms * static_cast<double>(nsPerMs) + 0.5 < 0x1p64 &&
+        (num_pages == 0 ||
+         timeMsToNs(TimeMs{duration_ms}).value() <= max / num_pages);
+    fatal_if(!fits, "page-time overflows the ns counter (%llu pages x %g ms)",
+             static_cast<unsigned long long>(num_pages), duration_ms);
+}
+
+/**
+ * Reduce shard outcomes into the public result. Every row not at
+ * LO-REF is at HI-REF, so HI dwell is pages x horizon minus the LO
+ * total, and the float times derive once from the two integers.
  */
 // memcon:shard_scope - runs after every shard worker has returned;
 // the reduction is the audited hand-off point out of shard state
@@ -105,6 +116,7 @@ finalize(const MemconConfig &cfg, std::vector<ShardOutcome> outs,
     res.durationMs = duration_ms;
     res.pages = num_pages;
     res.shards.reserve(outs.size());
+    TimeNs lo{};
     for (const ShardOutcome &o : outs) {
         res.writes += o.writes;
         res.testsRun += o.testsRun;
@@ -126,26 +138,27 @@ finalize(const MemconConfig &cfg, std::vector<ShardOutcome> outs,
             std::max(res.peakStagedEvents, o.peakStagedEvents);
         res.trackerStorageBytes += o.trackerStorageBytes;
         res.acts += o.acts;
-        res.shards.push_back({o.hiMs.size(), o.writes, o.testsRun,
+        lo += o.loTime;
+        res.shards.push_back({o.pages, o.writes, o.testsRun,
                               o.bufferDrops, o.trackerStorageBytes,
                               o.acts});
     }
+    const TimeNs hi = num_pages * timeMsToNs(TimeMs{duration_ms}) - lo;
+    res.hiTimeMs = timeNsToMs(hi).value();
+    res.loTimeMs = timeNsToMs(lo).value();
+    res.refreshOpsMemcon =
+        res.hiTimeMs / cfg.hiRefMs + res.loTimeMs / cfg.loRefMs;
 
-    const dram::AddressMap &map = cfg.addressMap;
-    std::vector<std::size_t> cursor(outs.size(), 0);
-    if (cfg.capturePageEndState)
+    if (cfg.capturePageEndState) {
+        // Local indices ascend in global order, so one cursor per
+        // shard walks each shard's pages in local order.
+        std::vector<std::size_t> cursor(outs.size(), 0);
         res.pageEnd.reserve(num_pages);
-    for (std::uint64_t p = 0; p < num_pages; ++p) {
-        const std::uint64_t s = outs.size() == 1 ? 0 : map.shardOf(p);
-        const std::size_t i = cursor[s]++;
-        const double hi = outs[s].hiMs[i];
-        const double lo = outs[s].loMs[i];
-        res.hiTimeMs += hi;
-        res.loTimeMs += lo;
-        res.refreshOpsMemcon += hi / cfg.hiRefMs + lo / cfg.loRefMs;
-        if (cfg.capturePageEndState)
-            res.pageEnd.push_back(
-                {outs[s].writeCount[i], outs[s].atLo[i] != 0, hi, lo});
+        for (std::uint64_t p = 0; p < num_pages; ++p) {
+            const std::uint64_t s =
+                outs.size() == 1 ? 0 : cfg.addressMap.shardOf(p);
+            res.pageEnd.push_back(outs[s].pageEnd[cursor[s]++]);
+        }
     }
 
     // Counts are exact integers however the run was sharded, so one
@@ -191,7 +204,7 @@ struct PageSoA
     // cache-resident where the 8-byte lastTestAt array does not - the
     // double is only touched once the bit says a test is pending.
     BitVector pendingTest;                  // memcon:shard_local
-    std::vector<double> stateSince;         // memcon:shard_local
+    std::vector<TimeNs> loSince;            // memcon:shard_local
     std::vector<std::uint64_t> writeCount;  // memcon:shard_local
     std::vector<double> lastTestAt;         // memcon:shard_local
     std::vector<double> lastVerified;       // memcon:shard_local
@@ -199,13 +212,13 @@ struct PageSoA
     // memcon:shard_scope - built by the owning shard worker
     explicit PageSoA(std::size_t num_pages)
         : atLoRef(num_pages), pendingTest(num_pages),
-          stateSince(num_pages, 0.0), writeCount(num_pages, 0),
+          loSince(num_pages), writeCount(num_pages, 0),
           lastTestAt(num_pages, -1.0), lastVerified(num_pages, -1.0)
     {
     }
 
     // memcon:shard_scope - size is fixed at construction
-    std::size_t size() const { return stateSince.size(); }
+    std::size_t size() const { return writeCount.size(); }
 };
 
 /** A LO-REF row awaiting its next re-scrub. */
@@ -259,8 +272,9 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
 {
     ShardOutcome out;
     const std::size_t num_local = streams.size();
-    out.hiMs.assign(num_local, 0.0);
-    out.loMs.assign(num_local, 0.0);
+    out.pages = num_local;
+    if (cfg.capturePageEndState)
+        out.pageEnd.resize(num_local);
 
     auto gid = [global_ids](std::uint32_t local) -> std::uint64_t {
         return global_ids ? global_ids[local] : local;
@@ -311,16 +325,13 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
     // the shard instead of reallocated at each swap.
     std::vector<PageId> candidates;
 
-    auto accrue = [&](std::size_t p, double until) {
-        double span = until - st.stateSince[p];
-        panic_if(span < -1e-9, "time went backwards");
-        if (span <= 0.0)
-            return;
-        if (st.atLoRef.test(p))
-            out.loMs[p] += span;
-        else
-            out.hiMs[p] += span;
-        st.stateSince[p] = until;
+    // A LO-REF stint ends on a write, a failed scrub or the horizon.
+    // HI dwell is never tracked: finalize() derives it.
+    auto end_lo_stint = [&](std::size_t p, TimeNs until) {
+        panic_if(until < st.loSince[p], "time went backwards");
+        out.loTime += until - st.loSince[p];
+        if (cfg.capturePageEndState)
+            out.pageEnd[p].loTime += until - st.loSince[p];
     };
 
     auto classify = [&](std::size_t p, double now) {
@@ -357,7 +368,7 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
             return;
         }
         ++out.testsPassed;
-        accrue(page, tq);
+        st.loSince[page] = timeMsToNs(TimeMs{tq});
         st.atLoRef.set(page);
         st.lastVerified[page] = tq;
         if (scrub_epochs > 0)
@@ -439,7 +450,7 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
                 out.acts += 2;
                 if (test_fails(p, st.writeCount[p], tq)) {
                     ++out.scrubDemotions;
-                    accrue(p, tq);
+                    end_lo_stint(p, timeMsToNs(TimeMs{tq}));
                     st.atLoRef.clear(p);
                     if (observer)
                         observer(gid(p), tq, false, st.writeCount[p]);
@@ -493,9 +504,9 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
         }
 
         classify(page, ev.time);
-        accrue(page, ev.time);
         if (st.atLoRef.test(page)) {
             // Content changes: protect until retested.
+            end_lo_stint(page, timeMsToNs(TimeMs{ev.time}));
             st.atLoRef.clear(page);
             if (observer)
                 observer(gid(page), ev.time, false,
@@ -505,20 +516,22 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
         pril.onWrite(PageId{page});
     }
 
-    // Close out every page at the horizon. Tests with no later write
-    // inside the trace are censored, not mispredicted: the predicted
-    // idleness did hold for as long as we could observe.
-    out.writeCount.resize(num_local);
-    out.atLo.resize(num_local);
-    // Pages whose last test never saw a later write: one bulk
-    // popcount over the pending-test bits replaces the per-page
-    // lastTestAt branch of the seed close-out loop.
+    // Close out at the horizon. Tests with no later write inside the
+    // trace are censored, not mispredicted: the predicted idleness did
+    // hold for as long as we could observe. One bulk popcount over the
+    // pending-test bits counts them.
     out.testsCorrect += simd::popcountWords(
         st.pendingTest.wordData(), st.pendingTest.wordCount());
-    for (std::size_t p = 0; p < st.size(); ++p) {
-        accrue(p, duration_ms);
-        out.writeCount[p] = st.writeCount[p];
-        out.atLo[p] = st.atLoRef.test(p) ? 1 : 0;
+    const TimeNs horizon = timeMsToNs(TimeMs{duration_ms});
+    st.atLoRef.visitSetBits(
+        [&](std::size_t p) { end_lo_stint(p, horizon); });
+    if (cfg.capturePageEndState) {
+        for (std::size_t p = 0; p < num_local; ++p) {
+            MemconResult::PageEndState &e = out.pageEnd[p];
+            e.writeCount = st.writeCount[p];
+            e.atLoRef = st.atLoRef.test(p);
+            e.hiTime = horizon - e.loTime;
+        }
     }
 
     out.bufferDrops = pril.bufferDrops();
@@ -534,7 +547,7 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
  * them - inline when shardThreads <= 1, else on a thread pool. Local
  * page indices are assigned in ascending global order (the partition
  * walk below), which is what lets PRIL's sorted candidate lists and
- * finalize()'s cursor reduction reproduce the flat engine's orders.
+ * finalize()'s page-end cursor walk reproduce the flat engine's orders.
  * `make_stream(global_page)` builds one page's write stream; it runs
  * on worker threads, so it must be pure.
  */
@@ -547,6 +560,7 @@ runShardedStreaming(const MemconConfig &cfg, std::uint64_t num_pages,
                     const MemconEngine::TimedFailureOracle &timed_oracle)
 {
     using Stream = decltype(make_stream(std::uint64_t{0}));
+    checkPageTimeFits(num_pages, duration_ms);
     const dram::AddressMap &map = cfg.addressMap;
     const std::uint64_t num_shards = map.numShards();
     std::vector<ShardOutcome> outs;

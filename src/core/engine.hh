@@ -89,11 +89,11 @@ struct MemconConfig
 
     /**
      * Worker threads for the sharded path; 1 runs the shards
-     * serially, 0 means hardware concurrency. Results are reduced in
-     * (shard index, then global page) order, so every thread count
-     * produces bit-identical metrics. Failure oracles must be pure
-     * functions of their arguments when this exceeds 1 - they are
-     * called concurrently from shard workers.
+     * serially, 0 means hardware concurrency. Shard results reduce as
+     * exact integer sums, so every thread count produces bit-identical
+     * metrics. Failure oracles must be pure functions of their
+     * arguments when this exceeds 1 - they are called concurrently
+     * from shard workers.
      */
     unsigned shardThreads = 1;
 
@@ -128,13 +128,17 @@ struct MemconResult
         std::uint64_t acts = 0;
     };
 
-    /** Closing state of one page (capturePageEndState only). */
+    /**
+     * Closing state of one page (capturePageEndState only). hiTime +
+     * loTime is the horizon exactly: the engine tracks LO-REF dwell
+     * and every other instant is HI-REF.
+     */
     struct PageEndState
     {
         std::uint64_t writeCount = 0;
         bool atLoRef = false;
-        double hiTimeMs = 0.0;
-        double loTimeMs = 0.0;
+        TimeNs hiTime{};
+        TimeNs loTime{};
 
         bool operator==(const PageEndState &) const = default;
     };
@@ -153,7 +157,12 @@ struct MemconResult
     std::uint64_t testsCorrect = 0;      //!< idle >= MinWriteInterval after
     std::uint64_t testsMispredicted = 0;
 
-    double hiTimeMs = 0.0; //!< summed over pages
+    /**
+     * Page-time at each rate, summed over pages. Both derive once from
+     * exact integer-ns totals: LO is the summed LO-REF stints, HI is
+     * pages x horizon minus LO. refreshOpsMemcon derives from them.
+     */
+    double hiTimeMs = 0.0;
     double loTimeMs = 0.0;
 
     std::uint64_t bufferDrops = 0;

@@ -58,21 +58,6 @@ double raidrProfileHiFraction(const failure::FailureModel &model,
 /** MEMCON as a policy, from a measured refresh reduction. */
 RefreshPolicy memconPolicy(double measured_reduction);
 
-/**
- * MEMCON hardened against read-disturb: victim refreshes spend
- * refresh operations the demotion saved, and banks degraded to
- * blanket HI-REF contribute no reduction at all while degraded.
- *
- * @param measured_reduction the un-hardened mechanism's reduction
- * @param victim_refresh_overhead victim refreshes issued, as a
- *        fraction of the baseline's refresh operations
- * @param degraded_bank_fraction time-weighted fraction of banks held
- *        in HI-REF degradation
- */
-RefreshPolicy disturbHardenedPolicy(double measured_reduction,
-                                    double victim_refresh_overhead,
-                                    double degraded_bank_fraction);
-
 } // namespace memcon::core
 
 #endif // MEMCON_CORE_POLICIES_HH

@@ -6,11 +6,9 @@
  * under this content at this interval?"; the online mechanism needs
  * the complementary question: "what does a *read* of this row observe
  * right now, given everything that can go wrong at once?". The
- * FaultInjector composes four fault sources into a single
+ * FaultInjector composes three fault sources into a single
  * per-(row, tick) query:
  *
- *  - the content-dependent coupling model (rows whose current data
- *    fails at the LO-REF interval),
  *  - VRT telegraph cells (a certified row whose cell dropped into its
  *    leaky state after the test - the AVATAR hazard),
  *  - transient upsets (particle strikes), a per-row Poisson process
@@ -42,9 +40,7 @@
 #include "common/stats.hh"
 #include "common/units.hh"
 #include "dram/ecc.hh"
-#include "failure/content.hh"
 #include "failure/disturb.hh"
-#include "failure/model.hh"
 #include "failure/vrt.hh"
 
 namespace memcon::failure
@@ -91,11 +87,6 @@ class FaultInjector
      * same way it retires pending transients.
      */
     void attachDisturb(DisturbModel *disturb) { disturbModel = disturb; }
-
-    /** Attach the content-dependent model + the content installed in
-     * the module (optional source). */
-    void attachContent(const FailureModel *model,
-                       const ContentProvider *content);
 
     const FaultInjectorConfig &config() const { return cfg; }
 
@@ -150,8 +141,6 @@ class FaultInjector
     std::uint64_t rows;
     const VrtPopulation *vrtPop = nullptr;
     DisturbModel *disturbModel = nullptr;
-    const FailureModel *contentModel = nullptr;
-    const ContentProvider *installedContent = nullptr;
 
     mutable std::unordered_map<RowId, RowFaults> transients;
     mutable std::uint64_t budgetSpent = 0;

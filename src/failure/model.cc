@@ -129,20 +129,6 @@ FailureModel::logicalColumnAt(std::uint64_t storage_col) const
     return scrambler_.logicalColumn(addressed);
 }
 
-bool
-FailureModel::chargedAt(RowId physical_row,
-                        std::uint64_t storage_col,
-                        const ContentProvider &content) const
-{
-    std::uint64_t logical_col = logicalColumnAt(storage_col);
-    if (logical_col == ColumnRemapper::kUnmapped)
-        return false; // unused spare or fused-off column: not driven
-
-    std::uint64_t logical_row = scrambler_.logicalRow(physical_row.value());
-    bool bit = content.bit(logical_row, logical_col);
-    return bit == rowPolarity(physical_row);
-}
-
 template <class Visit>
 bool
 FailureModel::visitFailures(RowId physical_row,
@@ -162,7 +148,9 @@ FailureModel::visitFailures(RowId physical_row,
             if (content == nullptr) {
                 aggression = c.wLeft + c.wRight; // both neighbours aggress
             } else {
-                // chargedAt() over the precomputed geometry.
+                // A cell is charged when its stored bit matches the
+                // row polarity; an unused spare or fused-off column is
+                // never driven, so never charged.
                 const CellGeometry &g = geometry[i];
                 bool charged[3];
                 for (int k = 0; k < 3; ++k) {

@@ -199,15 +199,6 @@ class FailureModel
                                 std::uint64_t row_limit = 0) const;
 
     /**
-     * The charge state ("charged" = capacitor holds charge) of the
-     * cell at a storage column given the installed logical content.
-     * Unused spare columns and fused-off faulty columns are never
-     * charged.
-     */
-    bool chargedAt(RowId physical_row, std::uint64_t storage_col,
-                   const ContentProvider &content) const;
-
-    /**
      * The logical words read back from one physical row after it
      * idles for interval_ms with the content installed: fillRow of
      * the scrambled logical row, with each *logically visible*

@@ -75,7 +75,7 @@ struct TenantSpec
      * of the module. Empty keeps the whole-module default,
      * bit-identical to a spec without placement.
      */
-    std::vector<unsigned> bankSet;
+    std::vector<unsigned> bankSet{};
 
     /**
      * Antagonist mode: this tenant is a RowHammer attacker replaying
@@ -87,7 +87,7 @@ struct TenantSpec
      * and `hammer.sides`/`hammer.actsPerUs` pick the attack.
      */
     bool hammerEnabled = false;
-    trace::HammerSpec hammer;
+    trace::HammerSpec hammer{};
 };
 
 /** Service-level knobs every session shares. */

@@ -21,16 +21,17 @@ struct Event
     std::uint32_t page;
 };
 
-/** Refresh state of one modelled row/page. */
+/** Refresh state of one modelled row/page. Dwell accrues at both
+ *  rates, independently of the engine's "HI = horizon - LO". */
 struct PageState
 {
-    double stateSince = 0.0;
+    TimeNs stateSince{};
     bool atLoRef = false;
     std::uint64_t writeCount = 0;
     double lastTestAt = -1.0;   // pending idle classification
     double lastVerified = -1.0; // last passing test
-    double hiMs = 0.0;
-    double loMs = 0.0;
+    TimeNs hi{};
+    TimeNs lo{};
 };
 
 } // namespace
@@ -90,16 +91,14 @@ runReferenceEngine(const core::MemconConfig &cfg,
         num_pages, std::min(cfg.writeBufferCapacity, num_pages));
     std::vector<PageState> state(num_pages);
 
-    auto accrue = [&](std::uint64_t p, double until) {
+    auto accrue = [&](std::uint64_t p, double until_ms) {
         PageState &ps = state[p];
-        double span = until - ps.stateSince;
-        panic_if(span < -1e-9, "time went backwards");
-        if (span <= 0.0)
-            return;
+        const TimeNs until = timeMsToNs(TimeMs{until_ms});
+        panic_if(until < ps.stateSince, "time went backwards");
         if (ps.atLoRef)
-            ps.loMs += span;
+            ps.lo += until - ps.stateSince;
         else
-            ps.hiMs += span;
+            ps.hi += until - ps.stateSince;
         ps.stateSince = until;
     };
 
@@ -257,20 +256,26 @@ runReferenceEngine(const core::MemconConfig &cfg,
         pril.onWrite(PageId{ev.page});
     }
 
-    // Close out every page at the horizon, reducing in page order.
-    // Tests with no later write inside the trace are censored, not
-    // mispredicted: the predicted idleness did hold for as long as we
-    // could observe.
+    // Close out every page at the horizon. Tests with no later write
+    // inside the trace are censored, not mispredicted: the predicted
+    // idleness did hold for as long as we could observe.
+    TimeNs hi{};
+    TimeNs lo{};
     for (std::uint64_t p = 0; p < num_pages; ++p) {
         PageState &ps = state[p];
         if (ps.lastTestAt >= 0.0)
             ++res.testsCorrect;
         accrue(p, duration_ms);
-        res.hiTimeMs += ps.hiMs;
-        res.loTimeMs += ps.loMs;
-        res.refreshOpsMemcon +=
-            ps.hiMs / cfg.hiRefMs + ps.loMs / cfg.loRefMs;
+        hi += ps.hi;
+        lo += ps.lo;
+        if (cfg.capturePageEndState)
+            res.pageEnd.push_back(
+                {ps.writeCount, ps.atLoRef, ps.hi, ps.lo});
     }
+    res.hiTimeMs = timeNsToMs(hi).value();
+    res.loTimeMs = timeNsToMs(lo).value();
+    res.refreshOpsMemcon =
+        res.hiTimeMs / cfg.hiRefMs + res.loTimeMs / cfg.loRefMs;
 
     res.bufferDrops = pril.bufferDrops();
     res.trackerStorageBytes = pril.storageBytes();

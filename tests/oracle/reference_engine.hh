@@ -28,9 +28,9 @@ namespace memcon::oracle
 /**
  * Replay per-page write timelines over [0, duration_ms] exactly as
  * core::MemconEngine::run specifies. Fills every metric and counter
- * of the digest surface; the engine's hot-path instrumentation
- * (heapPushes, wheelPops, peakLiveStreams), `shards` and `pageEnd`
- * stay empty.
+ * of the digest surface, and `pageEnd` under capturePageEndState; the
+ * engine's hot-path instrumentation (heapPushes, wheelPops,
+ * peakLiveStreams) and `shards` stay empty.
  */
 core::MemconResult runReferenceEngine(
     const core::MemconConfig &cfg,

@@ -371,6 +371,28 @@ TEST(Engine, WriteDemotesToHiRef)
     EXPECT_EQ(r.testsCorrect, 1u);
 }
 
+TEST(Engine, LoDwellRoundsToTheNearestNanosecond)
+{
+    // Every stint boundary rounds to the nearest ns. With a
+    // 100.0000003 ms quantum the page promotes at 200000000.6 ns
+    // (-> 200000001), a write at 650000000.2 ns (-> 650000000) demotes
+    // it, and it promotes again at 800000002.4 ns (-> 800000002) until
+    // the 2000 ms horizon. Truncating any boundary changes the total.
+    MemconConfig cfg = testConfig();
+    cfg.quantumMs = TimeMs{100.0000003};
+    cfg.capturePageEndState = true;
+    std::vector<std::vector<TimeMs>> writes{
+        {TimeMs{50.0}, TimeMs{650.0000002}}};
+    MemconResult r = MemconEngine(cfg).run(writes, 2000.0);
+    ASSERT_EQ(r.pageEnd.size(), 1u);
+    const TimeNs lo{(650000000 - 200000001) + (2000000000 - 800000002)};
+    EXPECT_EQ(r.pageEnd[0].loTime, lo);
+    EXPECT_EQ(r.pageEnd[0].hiTime, TimeNs{2000000000} - lo);
+    EXPECT_TRUE(r.pageEnd[0].atLoRef);
+    EXPECT_EQ(r.pageEnd[0].writeCount, 2u);
+    EXPECT_EQ(r.loTimeMs, timeNsToMs(lo).value());
+}
+
 TEST(Engine, FailingRowsStayAtHiRef)
 {
     MemconEngine eng(testConfig());

@@ -34,7 +34,7 @@ namespace
  * drawn from a coarse grid, so duplicates occur within a page,
  * across pages, and exactly on quantum boundaries - the cases where
  * only the (time, page, in-page-index) tie-break keeps the event
- * order (and therefore the float accumulation order) well-defined.
+ * order (and therefore PRIL's write-buffer fill order) well-defined.
  */
 std::vector<std::vector<TimeMs>>
 collidingTrace(std::uint64_t seed, std::size_t pages, double duration_ms)
@@ -79,6 +79,7 @@ expectSameResult(const MemconResult &a, const MemconResult &b)
     EXPECT_EQ(a.testTimeNs, b.testTimeNs);
     EXPECT_EQ(a.refreshTimeMemconNs, b.refreshTimeMemconNs);
     EXPECT_EQ(a.refreshTimeBaselineNs, b.refreshTimeBaselineNs);
+    EXPECT_TRUE(a.pageEnd == b.pageEnd) << "per-page end state diverges";
 }
 
 struct Transition
@@ -218,6 +219,42 @@ TEST(EngineEquiv, RunOnAppStreamingMatchesReference)
     EXPECT_GT(stream.writes, 0u);
 }
 
+TEST(EngineEquiv, PageDwellMatchesIndependentAccrual)
+{
+    // Write times and quantum ends off the nanosecond grid, so every
+    // LO-REF stint starts and ends on a rounded instant. The oracle
+    // accrues HI and LO per page at every event; the engine tracks
+    // only LO and derives HI as the horizon minus LO. Both must agree
+    // on every page, to the ns.
+    Rng rng(5);
+    const double duration_ms = 3000.0;
+    std::vector<std::vector<TimeMs>> writes(64);
+    for (auto &w : writes) {
+        const std::size_t n = rng.uniformInt(5);
+        for (std::size_t i = 0; i < n; ++i)
+            w.push_back(TimeMs{rng.uniform(0.0, duration_ms)});
+        std::sort(w.begin(), w.end());
+    }
+    MemconConfig cfg;
+    cfg.quantumMs = TimeMs{100.0000003};
+    cfg.scrubPeriodMs = 300.0;
+    cfg.capturePageEndState = true;
+    // Time-dependent verdicts, so failed scrubs end stints too.
+    auto timed = [](std::uint64_t page, std::uint64_t wc, double t) {
+        return hashMix64(page * 977 + wc * 13 +
+                         static_cast<std::uint64_t>(t / 400.0)) %
+                   7 ==
+               0;
+    };
+    expectPathsAgree(cfg, writes, duration_ms, {}, timed);
+
+    const MemconResult r =
+        MemconEngine(cfg).run(writes, duration_ms, {}, {}, timed);
+    ASSERT_EQ(r.pageEnd.size(), writes.size());
+    EXPECT_GT(r.scrubDemotions, 0u);
+    EXPECT_GT(r.loTimeMs, 0.0);
+}
+
 // --------------------------------------------------------------------
 // Test-budget rounding (regression: the budget used to be silently
 // truncated toward zero, so e.g. 1.5 tests/quantum became 1).
@@ -266,6 +303,21 @@ TEST(EngineValidation, NegativeWriteTimePanics)
     MemconEngine eng(cfg);
     std::vector<std::vector<TimeMs>> bad{{TimeMs{-1.0}}};
     EXPECT_DEATH(eng.run(bad, 1000.0), "negative write time");
+}
+
+TEST(EngineValidation, PageTimeOverflowIsFatal)
+{
+    // LO and HI dwell are integer ns carved out of pages x horizon.
+    // A huge quantum keeps a run that slipped past the guard short.
+    MemconConfig cfg;
+    cfg.quantumMs = TimeMs{1e12};
+    MemconEngine eng(cfg);
+    // 2 x 1e19 ns overflows although each page's 1e19 ns fits...
+    EXPECT_EXIT(eng.run(std::vector<std::vector<TimeMs>>(2), 1e13),
+                ::testing::ExitedWithCode(1), "overflows the ns counter");
+    // ...and a 2e19 ns horizon overflows on its own.
+    EXPECT_EXIT(eng.run(std::vector<std::vector<TimeMs>>(1), 2e13),
+                ::testing::ExitedWithCode(1), "overflows the ns counter");
 }
 
 // --------------------------------------------------------------------
@@ -427,9 +479,10 @@ TEST(KWayMergeTest, DenseWindowsReproduceStableSortOrder)
                 ASSERT_EQ(got[i], expected[i])
                     << "window " << window << " at " << i;
             EXPECT_EQ(merge.peakLiveSources(), live) << "window " << window;
-            if (window >= 125.0)
+            if (window >= 125.0) {
                 EXPECT_GT(merge.peakStagedEvents(), 1000u)
                     << "window " << window;
+            }
         }
     }
 }

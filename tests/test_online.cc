@@ -491,6 +491,58 @@ TEST(OnlineMemconPort, VictimRefreshIsOneReadAtColumnZero)
     EXPECT_EQ(refreshed, victims);
 }
 
+TEST(OnlineMemconPort, BankDegradeHoldsTheBankAtHiRefUntilRecovery)
+{
+    // 64 rows in two 32-row banks. Two alert crossings of one
+    // aggressor inside the window degrade its bank: every LO row of
+    // that bank demotes, a test that passes there during the hold is
+    // not promoted, and once the hold expires quietly every row of
+    // the bank is re-tested and promoted again.
+    OnlineMemconConfig cfg = Rig::smallConfig();
+    cfg.quantum = usToTicks(10.0);
+    cfg.testIdle = usToTicks(5.0);
+    cfg.addressMap = dram::AddressMap::blocked(1, 5);
+    cfg.disturbGuard.enabled = true;
+    cfg.disturbGuard.actAlertThreshold = 4;
+    cfg.disturbGuard.bankCrossingLimit = 2;
+    cfg.disturbGuard.maxVictimRefreshes = 1000; // no per-row escalation
+    cfg.disturbGuard.crossingWindow = usToTicks(100.0);
+    cfg.disturbGuard.bankDegradeHold = usToTicks(100.0);
+    dram::Geometry geom = eightRowGeom();
+    geom.rowsPerBank = 64;
+    PortRig rig(cfg, geom);
+    const StatGroup &stats = rig.memcon.stats();
+
+    rig.spinUntil(usToTicks(300.0)); // the read-only sweep certifies all
+    ASSERT_EQ(rig.memcon.loRefFraction(0), 1.0);
+    ASSERT_EQ(rig.memcon.loRefFraction(1), 1.0);
+
+    for (int i = 0; i < 8; ++i) // rows 32-63 are bank 1
+        rig.memcon.observeActivate(rig.addrOf(40), rig.now);
+    const Tick hold_end = rig.now + cfg.disturbGuard.bankDegradeHold;
+    EXPECT_EQ(stats.value("demote.bankDegrade"), 32.0);
+    EXPECT_EQ(rig.memcon.loRefFraction(1), 0.0);
+    EXPECT_EQ(rig.memcon.loRefFraction(0), 1.0);
+
+    // A write makes row 45 a PRIL candidate; its test passes inside
+    // the hold, and the promotion is blocked.
+    rig.memcon.observeWrite(rig.addrOf(45), rig.now);
+    while (rig.now + usToTicks(1.0) < hold_end) {
+        rig.spinUntil(rig.now + usToTicks(1.0));
+        ASSERT_EQ(rig.memcon.loRefFraction(1), 0.0)
+            << "bank 1 promoted a row during the hold, at "
+            << rig.now.value() << " ps";
+    }
+    EXPECT_EQ(stats.value("disturb.promotionBlocked"), 1.0);
+    EXPECT_EQ(stats.value("disturb.bankRecoveries"), 0.0);
+
+    rig.spinUntil(hold_end + usToTicks(200.0));
+    EXPECT_EQ(stats.value("disturb.bankRecoveries"), 1.0);
+    EXPECT_EQ(rig.memcon.loRefFraction(1), 1.0);
+    EXPECT_EQ(rig.memcon.loRefFraction(0), 1.0);
+    EXPECT_EQ(stats.value("demote.bankDegrade"), 32.0);
+}
+
 TEST(OnlineMemconPort, EveryRetargetPeriodSetsTheEmergentReduction)
 {
     OnlineMemconConfig cfg = Rig::smallConfig(); // retarget every 25 us

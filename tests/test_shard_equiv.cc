@@ -123,10 +123,10 @@ expectSamePageEnd(const MemconResult &a, const MemconResult &b)
                 << a.pageEnd[p].writeCount << " vs "
                 << b.pageEnd[p].writeCount << ", atLoRef "
                 << a.pageEnd[p].atLoRef << " vs " << b.pageEnd[p].atLoRef
-                << ", hi " << a.pageEnd[p].hiTimeMs << " vs "
-                << b.pageEnd[p].hiTimeMs << ", lo "
-                << a.pageEnd[p].loTimeMs << " vs "
-                << b.pageEnd[p].loTimeMs;
+                << ", hi " << a.pageEnd[p].hiTime.value() << " vs "
+                << b.pageEnd[p].hiTime.value() << ", lo "
+                << a.pageEnd[p].loTime.value() << " vs "
+                << b.pageEnd[p].loTime.value() << " ns";
             return;
         }
     }
@@ -182,6 +182,47 @@ TEST(ShardEquiv, EightBankMatchesFlatExactly)
             expectSamePageEnd(base, r);
             expectActsConsistent(r);
         }
+    }
+}
+
+TEST(ShardEquiv, EveryPageDwellSumsToTheHorizon)
+{
+    // Continuous write times, so stints end off the ns grid. Under
+    // every sharding each page's HI and LO dwell sum to the horizon
+    // exactly, the per-page LO sums to the run's total, and every
+    // page ends where the flat run leaves it.
+    Rng rng(9);
+    const double duration_ms = 3000.0;
+    std::vector<std::vector<TimeMs>> writes(1024);
+    for (auto &w : writes) {
+        const std::size_t n = rng.uniformInt(5);
+        for (std::size_t i = 0; i < n; ++i)
+            w.push_back(TimeMs{rng.uniform(0.0, duration_ms)});
+        std::sort(w.begin(), w.end());
+    }
+    const TimeNs horizon = timeMsToNs(TimeMs{duration_ms});
+
+    MemconConfig cfg = equivConfig();
+    const MemconResult flat = MemconEngine(cfg).run(writes, duration_ms);
+    for (const dram::AddressMap &map :
+         {dram::AddressMap::identity(), dram::AddressMap::paperDdr3_8bank(),
+          dram::AddressMap::zenDdr4_64bank()}) {
+        cfg.addressMap = map;
+        const MemconResult r = MemconEngine(cfg).run(writes, duration_ms);
+        ASSERT_EQ(r.pageEnd.size(), writes.size()) << map.name();
+        TimeNs lo{};
+        std::uint64_t at_lo = 0;
+        for (const MemconResult::PageEndState &e : r.pageEnd) {
+            ASSERT_EQ(e.hiTime + e.loTime, horizon) << map.name();
+            lo += e.loTime;
+            at_lo += e.atLoRef ? 1 : 0;
+        }
+        EXPECT_GT(at_lo, 0u) << map.name();
+        EXPECT_EQ(r.loTimeMs, timeNsToMs(lo).value()) << map.name();
+        EXPECT_EQ(r.hiTimeMs,
+                  timeNsToMs(writes.size() * horizon - lo).value())
+            << map.name();
+        expectSamePageEnd(flat, r);
     }
 }
 
