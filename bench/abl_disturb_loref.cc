@@ -275,14 +275,16 @@ runOne(trace::HammerKind kind, Arm arm, std::uint64_t seed, bool quick)
 
     return bench::Metrics{
         {"flips", static_cast<double>(disturb.flipsRecorded())},
-        {"flips_single", disturb.stats().value("flips.single")},
-        {"flips_double", disturb.stats().value("flips.double")},
-        {"corrected", om->stats().value("ecc.corrected")},
-        {"uncorrectable", om->stats().value("ecc.uncorrectable")},
+        {"flips_single", static_cast<double>(disturb.singleFlips())},
+        {"flips_double", static_cast<double>(disturb.doubleFlips())},
+        {"corrected", static_cast<double>(om->events().eccCorrected)},
+        {"uncorrectable",
+         static_cast<double>(om->events().eccUncorrectable)},
         {"victim_refreshes",
          static_cast<double>(om->victimRefreshes())},
         {"tests", static_cast<double>(om->testsStarted())},
-        {"bank_degrades", om->stats().value("disturb.bankDegrades")},
+        {"bank_degrades",
+         static_cast<double>(om->events().disturbBankDegrades)},
         {"pinned", static_cast<double>(om->pinnedRows())},
         {"lo_fraction", om->loRefFraction()},
         {"reduction", om->emergentReduction()},

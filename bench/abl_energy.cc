@@ -80,8 +80,8 @@ main()
             dram::EnergyModel em(dram::PowerParams::ddr3_1600(),
                                  timing);
             auto e = em.fromControllerStats(
-                sys.controller().channel().stats(),
-                sys.controller().stats(), r.totalTicks, 0.6);
+                sys.controller().channel().commandCounts(),
+                sys.controller().stats().refresh, r.totalTicks, 0.6);
             t2.row({dram::toString(d),
                     reduction == 0.0 ? "16 ms baseline" : "MEMCON 75%",
                     TextTable::num(e.actPre * 1e3, 3),

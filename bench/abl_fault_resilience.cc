@@ -166,11 +166,12 @@ runOne(double transient_rate, Layer layer, std::uint64_t seed, bool quick)
     return bench::Metrics{
         {"lo_fraction", om->loRefFraction()},
         {"reduction", om->emergentReduction()},
-        {"corrected", om->stats().value("ecc.corrected")},
-        {"uncorrectable", om->stats().value("ecc.uncorrectable")},
-        {"fallbacks", om->stats().value("fallback.entries")},
+        {"corrected", static_cast<double>(om->events().eccCorrected)},
+        {"uncorrectable",
+         static_cast<double>(om->events().eccUncorrectable)},
+        {"fallbacks", static_cast<double>(om->events().fallbackEntries)},
         {"pinned", static_cast<double>(om->pinnedRows())},
-        {"scrub_failed", om->stats().value("scrub.failed")},
+        {"scrub_failed", static_cast<double>(om->events().scrubFailed)},
         {"avg_latent_lo_rows",
          samples ? static_cast<double>(latent_sum) / samples : 0.0},
         {"peak_latent_lo_rows", static_cast<double>(latent_peak)},

@@ -77,7 +77,8 @@ runOne(const char *persona_name, bool with_memcon, std::uint64_t seed,
 
     return bench::Metrics{
         {"ipc", core.ipc()},
-        {"refresh_per_ms", mc.stats().value("refresh") / ticksToMs(now).value()},
+        {"refresh_per_ms", static_cast<double>(mc.stats().refresh) /
+                               ticksToMs(now).value()},
         {"lo_fraction", om ? om->loRefFraction() : 0.0},
         {"emergent_reduction", om ? om->emergentReduction() : 0.0},
         {"tests", om ? static_cast<double>(om->testsStarted()) : 0.0},

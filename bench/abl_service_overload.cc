@@ -74,7 +74,7 @@ tenantMix(unsigned tenants, unsigned antagonists, double antag_rate)
     std::vector<service::TenantSpec> specs;
     for (unsigned i = 0; i < tenants; ++i) {
         service::TenantSpec t;
-        t.name = "t" + std::to_string(i);
+        t.name = strprintf("t%u", i);
         t.quotaPerRound = 8;
         if (i >= tenants - antagonists) {
             t.priority = 1;

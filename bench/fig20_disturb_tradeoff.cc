@@ -170,7 +170,8 @@ runOne(std::uint64_t alert, std::uint64_t seed, bool quick)
         {"tests", static_cast<double>(om->testsStarted())},
         {"crossings",
          static_cast<double>(om->disturbGuard().crossings())},
-        {"bank_degrades", om->stats().value("disturb.bankDegrades")},
+        {"bank_degrades",
+         static_cast<double>(om->events().disturbBankDegrades)},
         {"pinned", static_cast<double>(om->pinnedRows())},
         {"lo_fraction", om->loRefFraction()},
         {"reduction", om->emergentReduction()},

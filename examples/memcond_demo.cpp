@@ -24,6 +24,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "common/supervisor.hh"
 #include "service/memcond.hh"
@@ -108,9 +109,9 @@ main()
 
     printStageTimeline(live.stageHistory());
 
-    std::printf("\nper-tenant telemetry:\n");
-    for (std::size_t i = 0; i < live.tenantCount(); ++i)
-        std::printf("%s\n", live.tenantTelemetry(i).dump().c_str());
+    std::printf("\nper-tenant metrics:\n");
+    for (const std::string &line : live.metricsLines())
+        std::printf("%s\n", line.c_str());
 
     std::printf("admission verdicts: admit=%llu throttle=%llu "
                 "reject=%llu\n",

@@ -114,7 +114,7 @@ main()
         }
     }
 
-    std::printf("\nevent counters:\n%s\n", om->stats().dump().c_str());
+    std::printf("\nevent counters:\n%s\n", om->events().dump().c_str());
     std::printf("transients injected: %llu\n",
                 static_cast<unsigned long long>(
                     injector.injectedFaults()));

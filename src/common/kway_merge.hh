@@ -138,9 +138,6 @@ class KWayMerge
         return batch[batchPos++];
     }
 
-    /** Sources still holding a pending (un-staged) event. */
-    std::size_t liveSources() const { return wheel.size(); }
-
     /** Peak sources holding an in-horizon event (instrumentation). */
     std::size_t peakLiveSources() const { return peakLive; }
 

@@ -108,8 +108,6 @@ class ThreadPool
         return static_cast<unsigned>(workers.size());
     }
 
-    std::size_t queueCapacity() const { return capacity; }
-
   private:
     void workerLoop();
 

@@ -38,9 +38,9 @@ OnlineMemcon::OnlineMemcon(const dram::Geometry &geometry,
       pril(geometry.totalRows(), config.writeBufferCapacity),
       engine(config.testEngine), loRows(geometry.totalRows()),
       everWritten(geometry.totalRows()),
-      resilience(config.resilience, geometry.totalRows(), statGroup),
+      resilience(config.resilience, geometry.totalRows(), eventCounts),
       guard(config.disturbGuard, &cfg.addressMap, geometry.totalRows(),
-            statGroup),
+            eventCounts),
       nextQuantumEnd(config.quantum), nextRetarget(config.retargetPeriod)
 {
     fatal_if(cfg.quantum == Tick{}, "quantum must be positive");
@@ -94,7 +94,7 @@ OnlineMemcon::observeWrite(std::uint64_t addr, Tick now)
     pril.onWrite(PageId{row.value()});
 
     abortTestOn(row);
-    demoteRow(row, "demote.write");
+    demoteRow(row, DemoteCause::Write);
 }
 
 void
@@ -113,7 +113,7 @@ OnlineMemcon::abortTestOn(RowId row)
 }
 
 void
-OnlineMemcon::demoteRow(RowId row, const char *cause)
+OnlineMemcon::demoteRow(RowId row, DemoteCause cause)
 {
     if (!loRows.test(row.value()))
         return;
@@ -121,7 +121,7 @@ OnlineMemcon::demoteRow(RowId row, const char *cause)
     --loCount;
     --loPerShard[cfg.addressMap.shardOf(row.value())];
     ++demotionCount;
-    statGroup.inc(cause);
+    ++eventCounts.demoted[static_cast<std::size_t>(cause)];
 }
 
 void
@@ -139,7 +139,7 @@ OnlineMemcon::observeEccEvent(std::uint64_t addr,
         // The certification is stale: the in-flight verdict (if any)
         // is worthless and the row must not stay at LO-REF.
         abortTestOn(row);
-        demoteRow(row, "demote.corrected");
+        demoteRow(row, DemoteCause::Corrected);
         break;
     case EccAction::Fallback:
         enterFallback(now);
@@ -169,7 +169,7 @@ OnlineMemcon::observeActivate(std::uint64_t addr, Tick now)
             // Per-victim refreshes are not keeping up: the row must
             // not sit at LO-REF while it is being hammered.
             abortTestOn(victim);
-            demoteRow(victim, "demote.disturb");
+            demoteRow(victim, DemoteCause::Disturb);
             break;
         default:
             break;
@@ -194,7 +194,7 @@ OnlineMemcon::degradeBank(std::uint64_t bank, Tick now)
     });
     for (RowId row : demoted) {
         abortTestOn(row);
-        demoteRow(row, "demote.bankDegrade");
+        demoteRow(row, DemoteCause::BankDegrade);
         recover.push_back(row);
     }
 }
@@ -210,12 +210,12 @@ OnlineMemcon::enterFallback(Tick now)
     // permits (words are snapshotted before their bits dispatch).
     loRows.visitSetBits([this](std::size_t row) {
         recoveryQueue.push_back(RowId{row});
-        demoteRow(RowId{row}, "demote.fallback");
+        demoteRow(RowId{row}, DemoteCause::Fallback);
     });
     // Drain the test slots: verdicts in flight are no longer safe to
     // act on.
     std::vector<RowId> in_test = engine.rowsUnderTest();
-    statGroup.inc("fallback.drained", in_test.size());
+    eventCounts.fallbackDrained += in_test.size();
     for (RowId row : in_test)
         engine.onWrite(row);
     activeTests.clear();
@@ -314,8 +314,7 @@ OnlineMemcon::pumpVictimRefreshes(Tick now)
         if (!mc.enqueueTest(geom.compose(c), false, now))
             return; // queue at the test admission limit; retry next tick
         victimRefreshQueue.pop_front();
-        ++victimRefreshCount;
-        statGroup.inc("disturb.victimRefresh");
+        ++eventCounts.disturbVictimRefreshes;
         if (cfg.victimRefresher)
             cfg.victimRefresher(victim, now);
         --budget;
@@ -350,10 +349,10 @@ OnlineMemcon::completeDueTests(Tick now)
             // failure means the certification went stale (VRT,
             // transient corruption) and the row drops to HI-REF.
             if (outcome == TestOutcome::Pass) {
-                statGroup.inc("scrub.passed");
+                ++eventCounts.scrubPassed;
             } else if (outcome == TestOutcome::Fail) {
-                statGroup.inc("scrub.failed");
-                demoteRow(row, "demote.scrub");
+                ++eventCounts.scrubFailed;
+                demoteRow(row, DemoteCause::Scrub);
             }
         } else if (outcome == TestOutcome::Pass && cfg.loRefEnabled &&
                    !resilience.isPinned(row) &&
@@ -363,7 +362,7 @@ OnlineMemcon::completeDueTests(Tick now)
                 // The bank is under sustained hammering: the verdict
                 // is sound but LO-REF is not safe there right now.
                 // Re-certify once the bank recovers.
-                statGroup.inc("disturb.promotionBlocked");
+                ++eventCounts.disturbPromotionsBlocked;
                 bankRecovery[cfg.addressMap.shardOf(row.value())]
                     .push_back(row);
             } else {
@@ -434,7 +433,7 @@ OnlineMemcon::stateFingerprint() const
         // configurations that existed before the disturb subsystem
         // stay byte-identical.
         mix(0xD157A4B5ull);
-        mix(victimRefreshCount);
+        mix(eventCounts.disturbVictimRefreshes);
         mix(guard.fingerprint());
         for (RowId row : victimRefreshQueue)
             mix(row.value());

@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "common/bitvector.hh"
-#include "common/stats.hh"
 #include "core/controller_port.hh"
 #include "core/pril.hh"
 #include "core/resilience.hh"
@@ -215,9 +214,9 @@ class OnlineMemcon
     /**
      * CRC over the mechanism's visible state: PRIL, refresh states
      * (LO-REF/ever-written maps), queued and in-flight tests, quantum
-     * phase, governor and fallback state, and the write, demotion
-     * and test counts; the event counters of stats() are not mixed
-     * in. The service snapshot records it per tenant; after a
+     * phase, governor and fallback state, and the write, demotion,
+     * victim-refresh and test counts; no other count of events() is
+     * mixed in. The service snapshot records it per tenant; after a
      * journal-replay restore the recomputed value must match
      * bit-for-bit or the resume is rejected.
      */
@@ -235,15 +234,18 @@ class OnlineMemcon
     std::uint64_t demotions() const { return demotionCount; }
 
     /** Victim refreshes the disturb guard has issued. */
-    std::uint64_t victimRefreshes() const { return victimRefreshCount; }
+    std::uint64_t
+    victimRefreshes() const
+    {
+        return eventCounts.disturbVictimRefreshes;
+    }
 
     /** The read-disturb guard (aggressor counters, bank states). */
     const DisturbGuard &disturbGuard() const { return guard; }
 
-    /** Resilience event counters (ecc.*, demote.*, scrub.*,
-     * fallback.*, retest.*, pinned). */
-    const StatGroup &stats() const { return statGroup; }
-    StatGroup &stats() { return statGroup; }
+    /** Resilience and disturb event counts (ECC, demotions by
+     * cause, scrub, fallback, re-tests, pins, guard actions). */
+    const MemconEvents &events() const { return eventCounts; }
 
   private:
     struct ActiveTest
@@ -260,7 +262,7 @@ class OnlineMemcon
     void pumpTestTraffic(Tick now);
     void pumpVictimRefreshes(Tick now);
     void completeDueTests(Tick now);
-    void demoteRow(RowId row, const char *cause);
+    void demoteRow(RowId row, DemoteCause cause);
     void abortTestOn(RowId row);
     void enterFallback(Tick now);
     void degradeBank(std::uint64_t bank, Tick now);
@@ -307,7 +309,7 @@ class OnlineMemcon
      * iteration is deterministic. */
     std::map<std::uint64_t, std::vector<RowId>> bankRecovery;
 
-    StatGroup statGroup{"memcon"};
+    MemconEvents eventCounts;
     ResilienceManager resilience;
     DisturbGuard guard;
 
@@ -315,7 +317,6 @@ class OnlineMemcon
     Tick nextRetarget;
     std::uint64_t writeCount = 0;
     std::uint64_t demotionCount = 0;
-    std::uint64_t victimRefreshCount = 0;
 };
 
 } // namespace memcon::core

@@ -1,5 +1,9 @@
 #include "core/resilience.hh"
 
+#include <algorithm>
+#include <string_view>
+#include <utility>
+
 #include "common/logging.hh"
 #include "common/ordered.hh"
 #include "common/random.hh"
@@ -7,10 +11,49 @@
 namespace memcon::core
 {
 
+std::string
+MemconEvents::dump() const
+{
+    std::vector<std::pair<std::string_view, std::uint64_t>> named = {
+        {"ecc.corrected", eccCorrected},
+        {"ecc.uncorrectable", eccUncorrectable},
+        {"pinned", pinned},
+        {"retest.scheduled", retestScheduled},
+        {"scrub.scheduled", scrubScheduled},
+        {"scrub.passed", scrubPassed},
+        {"scrub.failed", scrubFailed},
+        {"fallback.entries", fallbackEntries},
+        {"fallback.exits", fallbackExits},
+        {"fallback.drained", fallbackDrained},
+        {"disturb.crossings", disturbCrossings},
+        {"disturb.escalations", disturbEscalations},
+        {"disturb.bankDegrades", disturbBankDegrades},
+        {"disturb.bankRecoveries", disturbBankRecoveries},
+        {"disturb.victimRefresh", disturbVictimRefreshes},
+        {"disturb.promotionBlocked", disturbPromotionsBlocked},
+        {"demote.write", demotedBy(DemoteCause::Write)},
+        {"demote.corrected", demotedBy(DemoteCause::Corrected)},
+        {"demote.disturb", demotedBy(DemoteCause::Disturb)},
+        {"demote.bankDegrade", demotedBy(DemoteCause::BankDegrade)},
+        {"demote.fallback", demotedBy(DemoteCause::Fallback)},
+        {"demote.scrub", demotedBy(DemoteCause::Scrub)},
+    };
+    std::sort(named.begin(), named.end());
+    std::string out;
+    for (const auto &[name, count] : named) {
+        if (count == 0)
+            continue;
+        std::string key = "memcon." + std::string(name);
+        out += strprintf("%-48s %.6g\n", key.c_str(),
+                         static_cast<double>(count));
+    }
+    return out;
+}
+
 ResilienceManager::ResilienceManager(const ResilienceConfig &config,
                                      std::uint64_t num_rows,
-                                     StatGroup &stat_group)
-    : cfg(config), rows(num_rows), stats(stat_group),
+                                     MemconEvents &event_counts)
+    : cfg(config), rows(num_rows), events(event_counts),
       pinned(num_rows), nextScrub(config.scrubPeriod)
 {
     fatal_if(cfg.retestBackoff == Tick{}, "retest backoff must be positive");
@@ -27,19 +70,19 @@ ResilienceManager::onEccEvent(RowId row,
     case dram::EccStatus::Ok:
         return EccAction::None;
     case dram::EccStatus::Uncorrectable:
-        stats.inc("ecc.uncorrectable");
+        ++events.eccUncorrectable;
         if (!cfg.enabled)
             return EccAction::None;
         // The page behind this row is gone; never trust it at LO-REF
         // again, and stop trusting every other LO verdict too.
         if (!pinned.test(row.value())) {
             pinned.set(row.value());
-            stats.inc("pinned");
+            ++events.pinned;
         }
         return EccAction::Fallback;
     case dram::EccStatus::CorrectedData:
     case dram::EccStatus::CorrectedCheck:
-        stats.inc("ecc.corrected");
+        ++events.eccCorrected;
         if (!cfg.enabled || !lo_ref || pinned.test(row.value()))
             return EccAction::None;
         return ladderStep(row, now);
@@ -53,14 +96,14 @@ ResilienceManager::ladderStep(RowId row, Tick now)
     unsigned episodes = ++correctedEpisodes[row];
     if (episodes > cfg.maxCorrectedRetries) {
         pinned.set(row.value());
-        stats.inc("pinned");
+        ++events.pinned;
         return EccAction::DemoteAndPin;
     }
     // Exponential backoff: a row that keeps producing corrected
     // errors is re-tested less and less eagerly.
     Tick backoff{cfg.retestBackoff.value() << (episodes - 1)};
     retestQueue.emplace(now + backoff, row);
-    stats.inc("retest.scheduled");
+    ++events.retestScheduled;
     return EccAction::DemoteAndRetest;
 }
 
@@ -69,7 +112,7 @@ ResilienceManager::onDisturbEscalation(RowId row, bool lo_ref, Tick now)
 {
     panic_if(row.value() >= rows, "row %llu out of range",
              static_cast<unsigned long long>(row.value()));
-    stats.inc("disturb.escalations");
+    ++events.disturbEscalations;
     if (!cfg.enabled || !lo_ref || pinned.test(row.value()))
         return EccAction::None;
     return ladderStep(row, now);
@@ -93,7 +136,7 @@ ResilienceManager::armFallback(Tick now)
     if (fallback)
         return false;
     fallback = true;
-    stats.inc("fallback.entries");
+    ++events.fallbackEntries;
     return true;
 }
 
@@ -108,7 +151,7 @@ ResilienceManager::exitFallback()
 {
     panic_if(!fallback, "exitFallback outside fallback");
     fallback = false;
-    stats.inc("fallback.exits");
+    ++events.fallbackExits;
 }
 
 bool
@@ -134,14 +177,15 @@ ResilienceManager::nextScrubRows(
             continue;
         picked.push_back(RowId{row});
     }
-    stats.inc("scrub.scheduled", picked.size());
+    events.scrubScheduled += picked.size();
     return picked;
 }
 
 DisturbGuard::DisturbGuard(const DisturbGuardConfig &config,
                            const dram::AddressMap *map,
-                           std::uint64_t num_rows, StatGroup &stat_group)
-    : cfg(config), addressMap(map), rows(num_rows), stats(stat_group),
+                           std::uint64_t num_rows,
+                           MemconEvents &event_counts)
+    : cfg(config), addressMap(map), rows(num_rows), events(event_counts),
       banks(map ? map->numShards() : 1)
 {
     fatal_if(addressMap == nullptr, "disturb guard needs an address map");
@@ -171,8 +215,7 @@ DisturbGuard::onActivate(RowId row, Tick now)
     if (++acts < cfg.actAlertThreshold)
         return std::nullopt;
     acts = 0;
-    ++crossingCount;
-    stats.inc("disturb.crossings");
+    ++events.disturbCrossings;
 
     Crossing crossing;
     crossing.aggressor = row;
@@ -204,7 +247,7 @@ DisturbGuard::onActivate(RowId row, Tick now)
         bank.degradedUntil = now + cfg.bankDegradeHold;
         crossing.bankDegraded = true;
         ++degradedCount;
-        stats.inc("disturb.bankDegrades");
+        ++events.disturbBankDegrades;
     }
     return crossing;
 }
@@ -235,7 +278,7 @@ DisturbGuard::recoveredBanks(Tick now)
         if (bank.degraded && now >= bank.degradedUntil) {
             bank.degraded = false;
             --degradedCount;
-            stats.inc("disturb.bankRecoveries");
+            ++events.disturbBankRecoveries;
             out.push_back(i);
         }
     }
@@ -246,7 +289,7 @@ std::uint64_t
 DisturbGuard::fingerprint() const
 {
     // Hash maps in key order so the digest is iteration-order free.
-    std::uint64_t fp = hashMix64(crossingCount);
+    std::uint64_t fp = hashMix64(events.disturbCrossings);
     for (const auto &[row, acts] : ordered::sortedItems(aggressorActs))
         fp = hashMix64(fp ^ hashMix64(row.value() * 2 + 1) ^ acts);
     for (const auto &[row, episodes] : ordered::sortedItems(victimEpisodes))

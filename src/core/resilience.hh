@@ -44,15 +44,16 @@
 #ifndef MEMCON_CORE_RESILIENCE_HH
 #define MEMCON_CORE_RESILIENCE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bitvector.hh"
-#include "common/stats.hh"
 #include "common/strong_id.hh"
 #include "common/units.hh"
 #include "dram/address_map.hh"
@@ -60,6 +61,54 @@
 
 namespace memcon::core
 {
+
+/** Why OnlineMemcon moved a LO-REF row back to HI-REF. */
+enum class DemoteCause
+{
+    Write,       //!< demand write
+    Corrected,   //!< corrected ECC error on the row
+    Disturb,     //!< DisturbGuard escalation of a hammered victim
+    BankDegrade, //!< the row's bank degraded to HI-REF
+    Fallback,    //!< panic-fallback revoked every LO verdict
+    Scrub,       //!< the row failed its re-scrub
+};
+
+/**
+ * Event counts of the online mechanism, shared by OnlineMemcon, its
+ * ResilienceManager and its DisturbGuard.
+ */
+struct MemconEvents
+{
+    std::uint64_t eccCorrected = 0;
+    std::uint64_t eccUncorrectable = 0;
+    std::uint64_t pinned = 0;
+    std::uint64_t retestScheduled = 0;
+    std::uint64_t scrubScheduled = 0;
+    std::uint64_t scrubPassed = 0;
+    std::uint64_t scrubFailed = 0;
+    std::uint64_t fallbackEntries = 0;
+    std::uint64_t fallbackExits = 0;
+    std::uint64_t fallbackDrained = 0; //!< tests drained on entry
+    std::uint64_t disturbCrossings = 0;
+    std::uint64_t disturbEscalations = 0;
+    std::uint64_t disturbBankDegrades = 0;
+    std::uint64_t disturbBankRecoveries = 0;
+    std::uint64_t disturbVictimRefreshes = 0;
+    std::uint64_t disturbPromotionsBlocked = 0;
+    /** LO-REF demotions, indexed by DemoteCause. */
+    std::array<std::uint64_t, static_cast<std::size_t>(DemoteCause::Scrub) + 1>
+        demoted{};
+
+    std::uint64_t
+    demotedBy(DemoteCause cause) const
+    {
+        return demoted[static_cast<std::size_t>(cause)];
+    }
+
+    /** One "memcon.<name> <count>" line per nonzero count, sorted by
+     * name (e.g. memcon.demote.write, memcon.ecc.corrected). */
+    std::string dump() const;
+};
 
 struct ResilienceConfig
 {
@@ -104,7 +153,7 @@ class ResilienceManager
     };
 
     ResilienceManager(const ResilienceConfig &config,
-                      std::uint64_t num_rows, StatGroup &stats);
+                      std::uint64_t num_rows, MemconEvents &events);
 
     const ResilienceConfig &config() const { return cfg; }
 
@@ -171,7 +220,7 @@ class ResilienceManager
 
     ResilienceConfig cfg;
     std::uint64_t rows;
-    StatGroup &stats;
+    MemconEvents &events;
 
     std::unordered_map<RowId, unsigned> correctedEpisodes;
     BitVector pinned;
@@ -260,7 +309,7 @@ class DisturbGuard
      */
     DisturbGuard(const DisturbGuardConfig &config,
                  const dram::AddressMap *map, std::uint64_t num_rows,
-                 StatGroup &stats);
+                 MemconEvents &events);
 
     const DisturbGuardConfig &config() const { return cfg; }
 
@@ -285,7 +334,7 @@ class DisturbGuard
     bool anyBankDegraded() const { return degradedCount > 0; }
 
     /** Aggressor-counter crossings so far. */
-    std::uint64_t crossings() const { return crossingCount; }
+    std::uint64_t crossings() const { return events.disturbCrossings; }
 
     /** Deterministic digest of the guard state (fingerprints). */
     std::uint64_t fingerprint() const;
@@ -302,12 +351,11 @@ class DisturbGuard
     DisturbGuardConfig cfg;
     const dram::AddressMap *addressMap;
     std::uint64_t rows;
-    StatGroup &stats;
+    MemconEvents &events;
 
     std::unordered_map<RowId, std::uint64_t> aggressorActs;
     std::unordered_map<RowId, unsigned> victimEpisodes;
     std::vector<BankState> banks;
-    std::uint64_t crossingCount = 0;
     std::uint64_t degradedCount = 0;
 };
 

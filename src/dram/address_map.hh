@@ -137,7 +137,6 @@ class AddressMap
     const AddressMapConfig &config() const { return cfg; }
     const std::string &name() const { return cfg.name; }
 
-    unsigned shardBits() const { return totalShardBits; }
     std::uint64_t numShards() const
     {
         return std::uint64_t{1} << totalShardBits;

@@ -179,7 +179,7 @@ Channel::issue(Command cmd, unsigned rank, unsigned bank_idx,
 
     BankState &b = bank(rank, bank_idx);
     RankState &r = rankState[rank];
-    statGroup.inc("cmd." + toString(cmd));
+    ++issued[static_cast<std::size_t>(cmd)];
 
     auto cyc = [this](unsigned c) { return params.cyc(c); };
 

@@ -19,7 +19,6 @@
 #include <deque>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/strong_id.hh"
 #include "common/units.hh"
 #include "dram/command.hh"
@@ -80,9 +79,8 @@ class Channel
     const Geometry &geometry() const { return geom; }
     const TimingParams &timing() const { return params; }
 
-    /** Command counts and row hit/miss/conflict statistics. */
-    const StatGroup &stats() const { return statGroup; }
-    StatGroup &stats() { return statGroup; }
+    /** Commands issued so far, per command. */
+    const CommandCounts &commandCounts() const { return issued; }
 
   private:
     struct RankState
@@ -106,7 +104,7 @@ class Channel
     Tick nextReadGlobal{};
     Tick nextWriteGlobal{};
 
-    StatGroup statGroup{"channel"};
+    CommandCounts issued{};
 };
 
 } // namespace memcon::dram

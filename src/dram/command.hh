@@ -6,6 +6,7 @@
 #ifndef MEMCON_DRAM_COMMAND_HH
 #define MEMCON_DRAM_COMMAND_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -23,6 +24,10 @@ enum class Command
     WrA,  //!< column write with auto-precharge
     Ref,  //!< all-bank auto refresh
 };
+
+/** Issue counts per command, indexed by static_cast<size_t>(Command). */
+using CommandCounts =
+    std::array<std::uint64_t, static_cast<std::size_t>(Command::Ref) + 1>;
 
 std::string toString(Command cmd);
 

@@ -69,18 +69,18 @@ EnergyModel::backgroundEnergy(Tick duration,
 }
 
 EnergyBreakdown
-EnergyModel::fromControllerStats(const StatGroup &channel_stats,
-                                 const StatGroup &controller_stats,
-                                 Tick duration,
+EnergyModel::fromControllerStats(const CommandCounts &commands,
+                                 std::uint64_t refreshes, Tick duration,
                                  double active_fraction) const
 {
+    auto count = [&commands](Command cmd) {
+        return static_cast<double>(commands[static_cast<std::size_t>(cmd)]);
+    };
     EnergyBreakdown e;
-    double acts = channel_stats.value("cmd.ACT");
-    double reads =
-        channel_stats.value("cmd.RD") + channel_stats.value("cmd.RDA");
-    double writes =
-        channel_stats.value("cmd.WR") + channel_stats.value("cmd.WRA");
-    double refs = controller_stats.value("refresh");
+    double acts = count(Command::Act);
+    double reads = count(Command::Rd) + count(Command::RdA);
+    double writes = count(Command::Wr) + count(Command::WrA);
+    double refs = static_cast<double>(refreshes);
 
     e.actPre = acts * actPreEnergy();
     e.read = reads * readEnergy();

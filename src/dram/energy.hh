@@ -21,7 +21,7 @@
 
 #include <cstdint>
 
-#include "common/stats.hh"
+#include "dram/command.hh"
 #include "dram/timing.hh"
 
 namespace memcon::dram
@@ -78,13 +78,13 @@ class EnergyModel
     double backgroundEnergy(Tick duration, double active_fraction) const;
 
     /**
-     * Tally a full run from controller statistics (cmd.ACT, cmd.RD,
-     * cmd.WR, cmd.RDA, cmd.WRA, cmd.PRE, refresh counters).
+     * Tally a full run from the channel's command counts (ACT, RD,
+     * RDA, WR, WRA) and the controller's refresh count.
      */
     EnergyBreakdown
-    fromControllerStats(const StatGroup &channel_stats,
-                        const StatGroup &controller_stats,
-                        Tick duration, double active_fraction) const;
+    fromControllerStats(const CommandCounts &commands,
+                        std::uint64_t refreshes, Tick duration,
+                        double active_fraction) const;
 
     /**
      * Refresh energy of a policy over a period, from analytic

@@ -79,21 +79,19 @@ DisturbModel::chargeVictim(RowId victim, std::uint64_t units, Tick now)
         state.started = true;
     }
     state.charge += units;
-    statGroup.inc("charges", units);
 
     const std::uint64_t threshold = thresholdOf(victim) * kQuartersPerAct;
     while (state.charge >= threshold &&
            state.flippedDouble == 0) {
         state.charge -= threshold;
-        ++flips;
         if (state.flippedSingle == 0) {
             ++state.flippedSingle;
-            statGroup.inc("flips.single");
+            ++singleFlipCount;
         } else {
             // The next-weakest cell sits in the same word often
             // enough at these densities: two flips defeat SECDED.
             ++state.flippedDouble;
-            statGroup.inc("flips.double");
+            ++doubleFlipCount;
         }
     }
 }
@@ -104,7 +102,6 @@ DisturbModel::onActivate(RowId row, Tick now)
     panic_if(row.value() >= rows, "row %llu out of range (%llu rows)",
              static_cast<unsigned long long>(row.value()),
              static_cast<unsigned long long>(rows));
-    statGroup.inc("acts");
     for (int delta : {-1, 1}) {
         if (auto victim = addressMap->rowNeighbor(row.value(), delta, rows))
             chargeVictim(RowId{*victim}, kQuartersPerAct, now);
@@ -125,7 +122,6 @@ DisturbModel::onVictimRefreshed(RowId victim, Tick now)
     state.charge = 0;
     state.lastEpoch = epochOf(victim, now, window);
     state.started = true;
-    statGroup.inc("victimRefreshes");
 }
 
 void
@@ -135,8 +131,6 @@ DisturbModel::onRowRestored(RowId victim, Tick now)
     if (it == victims.end())
         return;
     VictimState &state = it->second;
-    if (state.flippedSingle > 0 || state.flippedDouble > 0)
-        statGroup.inc("restoredWithFlips");
     state.flippedSingle = 0;
     state.flippedDouble = 0;
     state.charge = 0;
@@ -150,8 +144,6 @@ DisturbModel::retireFlips(RowId victim)
     auto it = victims.find(victim);
     if (it == victims.end())
         return;
-    if (it->second.flippedSingle > 0 || it->second.flippedDouble > 0)
-        statGroup.inc("retired");
     it->second.flippedSingle = 0;
     it->second.flippedDouble = 0;
     it->second.charge = 0;

@@ -44,7 +44,6 @@
 #include <unordered_map>
 
 #include "common/random.hh"
-#include "common/stats.hh"
 #include "common/strong_id.hh"
 #include "common/units.hh"
 #include "dram/address_map.hh"
@@ -143,11 +142,19 @@ class DisturbModel
     /** Does the row hold disturb corruption no read surfaced yet? */
     bool hasLatentFlip(RowId victim) const;
 
-    /** Total single+double flips recorded so far. */
-    std::uint64_t flipsRecorded() const { return flips; }
+    /** Single-bit flips recorded so far (a victim's first flip). */
+    std::uint64_t singleFlips() const { return singleFlipCount; }
 
-    const StatGroup &stats() const { return statGroup; }
-    StatGroup &stats() { return statGroup; }
+    /** Double-bit flips recorded so far (a second flip in a victim
+     * that already held one). */
+    std::uint64_t doubleFlips() const { return doubleFlipCount; }
+
+    /** Total single+double flips recorded so far. */
+    std::uint64_t
+    flipsRecorded() const
+    {
+        return singleFlipCount + doubleFlipCount;
+    }
 
   private:
     /** Charge bookkeeping of one victim row. */
@@ -181,8 +188,8 @@ class DisturbModel
     std::uint64_t quarterWeight2; //!< distance-2 charge, quarter-ACTs
 
     std::unordered_map<RowId, VictimState> victims;
-    std::uint64_t flips = 0;
-    StatGroup statGroup{"disturb"};
+    std::uint64_t singleFlipCount = 0;
+    std::uint64_t doubleFlipCount = 0;
 };
 
 } // namespace memcon::failure

@@ -46,15 +46,12 @@ FaultInjector::advance(RowFaults &state, RowId row,
     while (state.nextArrival <= now_ms) {
         if (budgetSpent < cfg.faultBudget) {
             ++budgetSpent;
-            if (state.rng.chance(cfg.transientDoubleBitFraction)) {
+            if (state.rng.chance(cfg.transientDoubleBitFraction))
                 ++state.pendingDouble;
-                statGroup.inc("transient.double");
-            } else {
+            else
                 ++state.pendingSingle;
-                statGroup.inc("transient.single");
-            }
         } else {
-            statGroup.inc("budgetDropped");
+            ++droppedOverBudget;
         }
         state.nextArrival += TimeMs{state.rng.exponential(mean_ms)};
     }
@@ -107,13 +104,10 @@ FaultInjector::onRead(RowId row, Tick now, bool lo_ref)
         state.pendingDouble = 0;
         if (disturbModel)
             disturbModel->retireFlips(row);
-        statGroup.inc("observed.uncorrectable");
         return dram::EccStatus::Uncorrectable;
     }
-    if (state.pendingSingle > 0 || retention || disturb_single > 0) {
-        statGroup.inc("observed.corrected");
+    if (state.pendingSingle > 0 || retention || disturb_single > 0)
         return dram::EccStatus::CorrectedData;
-    }
     return dram::EccStatus::Ok;
 }
 
@@ -122,8 +116,6 @@ FaultInjector::onRowRestored(RowId row, Tick now)
 {
     RowFaults &state = rowState(row);
     advance(state, row, ticksToMs(now));
-    if (state.pendingSingle > 0 || state.pendingDouble > 0)
-        statGroup.inc("restoredWithPending");
     state.pendingSingle = 0;
     state.pendingDouble = 0;
     if (disturbModel)

@@ -37,7 +37,6 @@
 
 #include "common/random.hh"
 #include "common/strong_id.hh"
-#include "common/stats.hh"
 #include "common/units.hh"
 #include "dram/ecc.hh"
 #include "failure/disturb.hh"
@@ -117,8 +116,8 @@ class FaultInjector
     /** Transient upsets injected so far (budget consumption). */
     std::uint64_t injectedFaults() const { return budgetSpent; }
 
-    const StatGroup &stats() const { return statGroup; }
-    StatGroup &stats() { return statGroup; }
+    /** Transient arrivals dropped because the budget was spent. */
+    std::uint64_t budgetDropped() const { return droppedOverBudget; }
 
   private:
     struct RowFaults
@@ -144,7 +143,7 @@ class FaultInjector
 
     mutable std::unordered_map<RowId, RowFaults> transients;
     mutable std::uint64_t budgetSpent = 0;
-    mutable StatGroup statGroup{"inject"};
+    mutable std::uint64_t droppedOverBudget = 0;
 };
 
 } // namespace memcon::failure

@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/units.hh"
 
 namespace memcon::service

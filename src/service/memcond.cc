@@ -416,28 +416,4 @@ Memcond::digest() const
     return strprintf("%08x", ckpt::crc32(joined));
 }
 
-// memcon:shard_scope - quiescent-only (between rounds)
-StatGroup
-Memcond::tenantTelemetry(std::size_t i) const
-{
-    const TenantSession &ses = *sessions[i];
-    StatGroup g("svc." + specs[i].name);
-    g.set("offered", static_cast<double>(ses.generatedCount()));
-    g.set("applied", static_cast<double>(ses.appliedCount()));
-    g.set("drops.backpressure",
-          static_cast<double>(ses.droppedBackpressure()));
-    g.set("drops.shed", static_cast<double>(ses.droppedShed()));
-    g.set("throttle.ticks", static_cast<double>(ses.throttledTicks()));
-    g.set("backlog", static_cast<double>(ses.ringBacklog() +
-                                         (ses.hasHeldEvent() ? 1 : 0)));
-    g.set("latency.p99.ticks", ses.p99IngestTicks());
-    g.set("refresh.reduction", ses.memcon().emergentReduction());
-    g.set("lo.fraction", ses.memcon().loRefFraction());
-    g.set("tests.started",
-          static_cast<double>(ses.memcon().testsStarted()));
-    g.set("tests.aborted",
-          static_cast<double>(ses.memcon().testsAborted()));
-    return g;
-}
-
 } // namespace memcon::service

@@ -42,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/thread_pool.hh"
 #include "service/admission.hh"
 #include "service/governor.hh"
@@ -136,11 +135,6 @@ class Memcond
     /** CRC32 over the joined metric lines, as 8 hex digits - the
      * kill/resume comparison value. */
     std::string digest() const;
-
-    /** Per-tenant telemetry as a StatGroup ("svc.<name>"): offered,
-     * applied, drops, throttle time, p99 ingest latency, refresh
-     * reduction, test overhead. */
-    StatGroup tenantTelemetry(std::size_t i) const;
 
     /** The snapshot the service would seal right now. */
     ServiceSnapshot snapshotState() const;

@@ -1,11 +1,32 @@
 #include "sim/controller.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace memcon::sim
 {
+
+double
+ControllerStats::value(std::string_view name) const
+{
+    const std::pair<std::string_view, std::uint64_t> named[] = {
+        {"refresh", refresh},
+        {"queueFull", queueFull},
+        {"enq.read", enqueuedReads},
+        {"enq.write", enqueuedWrites},
+        {"completed.read", completedReads},
+        {"completed.write", completedWrites},
+        {"ecc.corrected", eccCorrected},
+    };
+    for (const auto &[key, count] : named) {
+        if (key == name)
+            return static_cast<double>(count);
+    }
+    fatal("unknown controller counter '%.*s'",
+          static_cast<int>(name.size()), name.data());
+}
 
 MemoryController::MemoryController(const dram::Geometry &geometry,
                                    const dram::TimingParams &timing,
@@ -47,7 +68,7 @@ MemoryController::enqueue(Request request, Tick now)
     if (request.isTest)
         capacity = std::min(capacity, cfg.testAdmissionLimit);
     if (queue.size() >= capacity) {
-        statGroup.inc("queueFull");
+        ++counts.queueFull;
         return false;
     }
     bool is_read = request.type == Request::Type::Read;
@@ -56,7 +77,7 @@ MemoryController::enqueue(Request request, Tick now)
     request.coords = geom.decompose(request.addr);
     request.arrival = now;
     queue.push_back(std::move(request));
-    statGroup.inc(is_read ? "enq.read" : "enq.write");
+    ++(is_read ? counts.enqueuedReads : counts.enqueuedWrites);
     if (!is_read && !is_test && cfg.writeObserver)
         cfg.writeObserver(addr, now);
     return true;
@@ -87,23 +108,12 @@ MemoryController::completeFinishedReads(Tick now)
             Pending done = std::move(inflight[i]);
             inflight[i] = std::move(inflight.back());
             inflight.pop_back();
-            statGroup.accum("readLatencyTicks",
-                            static_cast<double>(
-                                (done.dataDone - done.req.arrival).value()));
-            statGroup.inc("completed.read");
+            ++counts.completedReads;
             if (!done.req.isTest && cfg.eccProbe) {
                 dram::EccStatus st = cfg.eccProbe(done.req.addr, now);
-                switch (st) {
-                case dram::EccStatus::Ok:
-                    break;
-                case dram::EccStatus::CorrectedData:
-                case dram::EccStatus::CorrectedCheck:
-                    statGroup.inc("ecc.corrected");
-                    break;
-                case dram::EccStatus::Uncorrectable:
-                    statGroup.inc("ecc.uncorrectable");
-                    break;
-                }
+                if (st == dram::EccStatus::CorrectedData ||
+                    st == dram::EccStatus::CorrectedCheck)
+                    ++counts.eccCorrected;
                 if (st != dram::EccStatus::Ok && cfg.errorObserver)
                     cfg.errorObserver(done.req.addr, st, now);
             }
@@ -137,7 +147,7 @@ MemoryController::handleRefresh(Tick now)
         }
         if (chan.canIssue(dram::Command::Ref, rank, 0, RowId{}, now)) {
             chan.issue(dram::Command::Ref, rank, 0, RowId{}, now);
-            statGroup.inc("refresh");
+            ++counts.refresh;
             nextRefresh[rank] += effectiveTrefi;
             return;
         }
@@ -203,20 +213,16 @@ MemoryController::serviceQueue(std::deque<Request> &queue, Tick now)
             if (!chan.canIssue(cmd, c.rank, c.bank, c.row, now))
                 return false;
             Tick data_done = chan.issue(cmd, c.rank, c.bank, c.row, now);
-            statGroup.inc(is_read ? "svc.read" : "svc.write");
-            statGroup.inc("rowHit");
-            if (is_read) {
+            if (is_read)
                 inflight.push_back({std::move(req), data_done});
-            } else {
-                statGroup.inc("completed.write");
-            }
+            else
+                ++counts.completedWrites;
             queue.erase(queue.begin() + idx);
             return true;
         }
         // Row conflict: close the current row.
         if (chan.canIssue(dram::Command::Pre, c.rank, c.bank, RowId{}, now)) {
             chan.issue(dram::Command::Pre, c.rank, c.bank, RowId{}, now);
-            statGroup.inc("rowConflict");
             return true;
         }
         return false;
@@ -225,8 +231,6 @@ MemoryController::serviceQueue(std::deque<Request> &queue, Tick now)
     // Row closed: activate.
     if (chan.canIssue(dram::Command::Act, c.rank, c.bank, c.row, now)) {
         chan.issue(dram::Command::Act, c.rank, c.bank, c.row, now);
-        statGroup.inc("rowMiss");
-        statGroup.inc("act");
         if (cfg.activateObserver)
             cfg.activateObserver(req.addr, now);
         return true;

@@ -21,9 +21,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string_view>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/units.hh"
 #include "core/controller_port.hh"
 #include "dram/channel.hh"
@@ -78,6 +78,25 @@ struct ControllerConfig : core::ControllerHooks
         eccProbe;
 };
 
+/** Request and refresh counts of one controller. */
+struct ControllerStats
+{
+    std::uint64_t refresh = 0;        //!< REF commands issued
+    std::uint64_t queueFull = 0;      //!< enqueues refused
+    std::uint64_t enqueuedReads = 0;
+    std::uint64_t enqueuedWrites = 0;
+    std::uint64_t completedReads = 0; //!< read data returned
+    std::uint64_t completedWrites = 0;
+    std::uint64_t eccCorrected = 0;   //!< demand reads decoded corrected
+
+    /**
+     * A count by its dotted name ("refresh", "queueFull", "enq.read",
+     * "enq.write", "completed.read", "completed.write",
+     * "ecc.corrected"); fatal on any other name.
+     */
+    double value(std::string_view name) const;
+};
+
 class MemoryController final : public core::ControllerPort
 {
   public:
@@ -114,8 +133,7 @@ class MemoryController final : public core::ControllerPort
     std::size_t readQueueSize() const { return readQueue.size(); }
     std::size_t writeQueueSize() const { return writeQueue.size(); }
 
-    const StatGroup &stats() const { return statGroup; }
-    StatGroup &stats() { return statGroup; }
+    const ControllerStats &stats() const { return counts; }
     const dram::Channel &channel() const { return chan; }
 
   private:
@@ -145,7 +163,7 @@ class MemoryController final : public core::ControllerPort
     std::vector<Tick> nextRefresh; //!< per rank
     Tick effectiveTrefi;
 
-    StatGroup statGroup{"mc"};
+    ControllerStats counts;
 };
 
 } // namespace memcon::sim

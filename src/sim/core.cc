@@ -12,8 +12,7 @@ SimpleCore::SimpleCore(int core_id, trace::CpuAccessStream stream_in,
     : coreId(core_id), stream(std::move(stream_in)), mc(controller),
       baseBlock(base_block), totalBlocks(total_blocks),
       issueWidth(issue_width), windowSize(window_size),
-      window(window_size), shared(std::make_shared<Shared>()),
-      statGroup(strprintf("core%d", core_id))
+      window(window_size), shared(std::make_shared<Shared>())
 {
     fatal_if(issue_width == 0 || window_size == 0,
              "issue width and window size must be positive");
@@ -92,11 +91,8 @@ SimpleCore::tick(Tick now)
             req.type = Request::Type::Write;
             req.addr = addr;
             req.coreId = coreId;
-            if (!mc.enqueue(std::move(req), now)) {
-                statGroup.inc("writeStall");
+            if (!mc.enqueue(std::move(req), now))
                 break; // retry next cycle
-            }
-            statGroup.inc("writesSent");
             window[(windowHead + windowCount) % windowSize] =
                 {false, true, 0};
             ++windowCount;
@@ -113,11 +109,8 @@ SimpleCore::tick(Tick now)
         req.onComplete = [shared_ref](const Request &done) {
             shared_ref->completedAddrs.push_back(done.addr);
         };
-        if (!mc.enqueue(std::move(req), now)) {
-            statGroup.inc("readStall");
+        if (!mc.enqueue(std::move(req), now))
             break; // queue full; retry next cycle
-        }
-        statGroup.inc("readsSent");
         window[(windowHead + windowCount) % windowSize] =
             {true, false, addr};
         ++windowCount;

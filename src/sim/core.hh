@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/units.hh"
 #include "sim/controller.hh"
 #include "trace/cpu_gen.hh"
@@ -55,8 +54,6 @@ class SimpleCore
                            : static_cast<double>(retired) /
                                  static_cast<double>(cycles);
     }
-
-    const StatGroup &stats() const { return statGroup; }
 
   private:
     struct WindowEntry
@@ -96,8 +93,6 @@ class SimpleCore
         std::vector<std::uint64_t> completedAddrs;
     };
     std::shared_ptr<Shared> shared;
-
-    StatGroup statGroup;
 };
 
 } // namespace memcon::sim

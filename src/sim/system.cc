@@ -151,8 +151,7 @@ System::run(InstCount insts_per_core, Tick max_ticks)
     result.totalTicks = now;
     for (unsigned i = 0; i < cfg.cores; ++i)
         result.retired.push_back(cores[i]->retiredInsts());
-    result.refreshCount =
-        static_cast<std::uint64_t>(mc->stats().value("refresh"));
+    result.refreshCount = mc->stats().refresh;
     result.testsStarted = testSource ? testSource->testsStarted() : 0;
     return result;
 }

@@ -109,7 +109,7 @@ main(int argc, char **argv)
     std::vector<TenantSpec> specs;
     for (unsigned i = 0; i < tenants; ++i) {
         TenantSpec t;
-        t.name = "t" + std::to_string(i);
+        t.name = strprintf("t%u", i);
         t.quotaPerRound = 8;
         const bool antagonist = i == tenants - 1;
         t.priority = antagonist ? 1 : 2;

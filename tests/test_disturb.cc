@@ -36,6 +36,7 @@ namespace
 
 using core::DisturbGuard;
 using core::DisturbGuardConfig;
+using core::MemconEvents;
 using core::OnlineMemcon;
 using core::OnlineMemconConfig;
 using core::ResilienceConfig;
@@ -480,7 +481,7 @@ struct GuardRig
     {
     }
 
-    StatGroup stats{"test"};
+    MemconEvents stats;
     AddressMap map;
     DisturbGuard guard;
 };
@@ -639,7 +640,7 @@ TEST(DisturbLadder, EscalationsWalkTheLadderMonotonically)
     ResilienceConfig cfg;
     cfg.maxCorrectedRetries = 2;
     cfg.retestBackoff = usToTicks(10.0);
-    StatGroup stats("test");
+    MemconEvents stats;
     ResilienceManager rm(cfg, 64, stats);
     const RowId row{5};
     using Action = ResilienceManager::EccAction;
@@ -895,9 +896,9 @@ TEST(DisturbProperty, LadderNeverLosesARowUnderComposedFaults)
     EXPECT_GT(rig.memcon->disturbGuard().crossings(), 0u);
     EXPECT_GT(rig.memcon->victimRefreshes(), 0u);
     EXPECT_GT(rig.memcon->pinnedRows(), 0u);
-    EXPECT_GT(rig.memcon->stats().value("ecc.corrected") +
-                  rig.memcon->stats().value("ecc.uncorrectable"),
-              0.0)
+    EXPECT_GT(rig.memcon->events().eccCorrected +
+                  rig.memcon->events().eccUncorrectable,
+              0u)
         << "injector faults never surfaced through ECC";
 }
 

@@ -333,8 +333,10 @@ TEST_F(ChannelTest, StatsCountCommands)
 {
     chan.issue(Command::Act, 0, 0, RowId{5}, Tick{});
     chan.issue(Command::Rd, 0, 0, RowId{5}, cyc(timing.tRCD));
-    EXPECT_EQ(chan.stats().value("cmd.ACT"), 1.0);
-    EXPECT_EQ(chan.stats().value("cmd.RD"), 1.0);
+    CommandCounts expected{};
+    expected[static_cast<std::size_t>(Command::Act)] = 1;
+    expected[static_cast<std::size_t>(Command::Rd)] = 1;
+    EXPECT_EQ(chan.commandCounts(), expected);
 }
 
 /**

@@ -443,6 +443,80 @@ TEST(DramTester, PatternBatteryUnionAndPerPattern)
     EXPECT_EQ(combined.failures.size(), union_cells.size());
 }
 
+/** Cells of `cells` that are not in `seen`. */
+std::uint64_t
+countUnseen(const std::set<std::pair<RowId, std::uint64_t>> &cells,
+            const std::set<std::pair<RowId, std::uint64_t>> &seen)
+{
+    std::uint64_t n = 0;
+    for (const auto &cell : cells)
+        n += seen.count(cell) == 0 ? 1 : 0;
+    return n;
+}
+
+TEST(DramTester, BatteryBitCountsMatchFailingCellsWithoutSpares)
+{
+    // With no spare columns every failing cell is one logically
+    // visible bit, so the bit-parallel sweep must count exactly the
+    // per-pattern cell sets and their growth over the battery.
+    FailureModelParams p;
+    p.seed = 7;
+    p.redundantColumns = 0;
+    p.remappedColumns = 0;
+    FailureModel m(p, 1 << 10, 1 << 12);
+    DramTester tester(m);
+    auto battery = PatternContent::battery(8);
+    auto cells = tester.perPatternFailingCells(battery, 328.0);
+    auto counts = tester.batteryFailingBitCounts(battery, 328.0);
+    ASSERT_EQ(counts.size(), battery.size());
+
+    std::set<std::pair<RowId, std::uint64_t>> seen;
+    std::uint64_t total_new = 0;
+    for (std::size_t i = 0; i < battery.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "pattern " << i);
+        EXPECT_EQ(counts[i].failingBits, cells[i].size());
+        EXPECT_EQ(counts[i].newFailingBits, countUnseen(cells[i], seen));
+        total_new += counts[i].newFailingBits;
+        seen.insert(cells[i].begin(), cells[i].end());
+    }
+    EXPECT_EQ(total_new, seen.size());
+    EXPECT_GT(counts[0].failingBits, 0u)
+        << "model produced no failures; the comparison is vacuous";
+    EXPECT_LT(counts[0].newFailingBits, total_new)
+        << "later patterns found nothing new; the new-bit check is vacuous";
+}
+
+TEST(DramTester, BatteryBitCountsStayAtOrBelowCellsWithRemappedColumns)
+{
+    // Remapped columns move failures onto spares the logical readback
+    // never shows: the sweep may count fewer bits, never more.
+    FailureModelParams p;
+    p.seed = 7;
+    p.remappedColumns = 64;
+    FailureModel m(p, 1 << 10, 1 << 12);
+    DramTester tester(m);
+    auto battery = PatternContent::battery(8);
+    auto cells = tester.perPatternFailingCells(battery, 328.0);
+    auto counts = tester.batteryFailingBitCounts(battery, 328.0);
+    ASSERT_EQ(counts.size(), battery.size());
+
+    std::set<std::pair<RowId, std::uint64_t>> seen;
+    std::uint64_t bits = 0;
+    std::uint64_t cell_count = 0;
+    for (std::size_t i = 0; i < battery.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "pattern " << i);
+        EXPECT_LE(counts[i].failingBits, cells[i].size());
+        EXPECT_LE(counts[i].newFailingBits, countUnseen(cells[i], seen));
+        EXPECT_LE(counts[i].newFailingBits, counts[i].failingBits);
+        bits += counts[i].failingBits;
+        cell_count += cells[i].size();
+        seen.insert(cells[i].begin(), cells[i].end());
+    }
+    EXPECT_GT(bits, 0u);
+    EXPECT_LT(bits, cell_count)
+        << "the spares hid no failure; the bound is vacuous";
+}
+
 TEST(DramTester, SystemLevelBatteryMissesWorstCaseUnderScrambling)
 {
     // Section 2(i): without layout knowledge, pattern campaigns

@@ -300,7 +300,7 @@ TEST(OnlineMemcon, FullSystemClosedLoop)
             for (unsigned k = 0; k < 5; ++k)
                 core.tick(now);
         }
-        return std::pair{mc.stats().value("refresh") /
+        return std::pair{static_cast<double>(mc.stats().refresh) /
                              ticksToMs(now).value(),
                          om ? om->loRefFraction() : 0.0};
     };
@@ -511,7 +511,7 @@ TEST(OnlineMemconPort, BankDegradeHoldsTheBankAtHiRefUntilRecovery)
     dram::Geometry geom = eightRowGeom();
     geom.rowsPerBank = 64;
     PortRig rig(cfg, geom);
-    const StatGroup &stats = rig.memcon.stats();
+    const MemconEvents &events = rig.memcon.events();
 
     rig.spinUntil(usToTicks(300.0)); // the read-only sweep certifies all
     ASSERT_EQ(rig.memcon.loRefFraction(0), 1.0);
@@ -520,7 +520,7 @@ TEST(OnlineMemconPort, BankDegradeHoldsTheBankAtHiRefUntilRecovery)
     for (int i = 0; i < 8; ++i) // rows 32-63 are bank 1
         rig.memcon.observeActivate(rig.addrOf(40), rig.now);
     const Tick hold_end = rig.now + cfg.disturbGuard.bankDegradeHold;
-    EXPECT_EQ(stats.value("demote.bankDegrade"), 32.0);
+    EXPECT_EQ(events.demotedBy(DemoteCause::BankDegrade), 32u);
     EXPECT_EQ(rig.memcon.loRefFraction(1), 0.0);
     EXPECT_EQ(rig.memcon.loRefFraction(0), 1.0);
 
@@ -533,14 +533,14 @@ TEST(OnlineMemconPort, BankDegradeHoldsTheBankAtHiRefUntilRecovery)
             << "bank 1 promoted a row during the hold, at "
             << rig.now.value() << " ps";
     }
-    EXPECT_EQ(stats.value("disturb.promotionBlocked"), 1.0);
-    EXPECT_EQ(stats.value("disturb.bankRecoveries"), 0.0);
+    EXPECT_EQ(events.disturbPromotionsBlocked, 1u);
+    EXPECT_EQ(events.disturbBankRecoveries, 0u);
 
     rig.spinUntil(hold_end + usToTicks(200.0));
-    EXPECT_EQ(stats.value("disturb.bankRecoveries"), 1.0);
+    EXPECT_EQ(events.disturbBankRecoveries, 1u);
     EXPECT_EQ(rig.memcon.loRefFraction(1), 1.0);
     EXPECT_EQ(rig.memcon.loRefFraction(0), 1.0);
-    EXPECT_EQ(stats.value("demote.bankDegrade"), 32.0);
+    EXPECT_EQ(events.demotedBy(DemoteCause::BankDegrade), 32u);
 }
 
 TEST(OnlineMemconPort, EveryRetargetPeriodSetsTheEmergentReduction)

@@ -136,11 +136,7 @@ struct Rig
             << "row " << row << " never reached LO-REF";
     }
 
-    double
-    stat(const char *name) const
-    {
-        return memcon->stats().value(name);
-    }
+    const MemconEvents &events() const { return memcon->events(); }
 
     dram::Geometry geom;
     dram::TimingParams timing;
@@ -161,10 +157,10 @@ TEST(ErrorEventHook, CorrectedReadFiresObserverAndStats)
         return EccStatus::CorrectedData;
     };
     rig.readRow(1);
-    EXPECT_EQ(rig.mc->stats().value("ecc.corrected"), 1.0);
-    EXPECT_EQ(rig.stat("ecc.corrected"), 1.0);
+    EXPECT_EQ(rig.mc->stats().eccCorrected, 1u);
+    EXPECT_EQ(rig.events().eccCorrected, 1u);
     // Row 1 was not LO-REF: counted, but no demotion.
-    EXPECT_EQ(rig.stat("demote.corrected"), 0.0);
+    EXPECT_EQ(rig.events().demotedBy(DemoteCause::Corrected), 0u);
     EXPECT_EQ(rig.memcon->demotions(), 0u);
 }
 
@@ -200,8 +196,8 @@ TEST(GracefulDegradation, CorrectedErrorDemotesWithinOneRetargetPeriod)
     rig.readRow(5);
     // Demotion is immediate - well inside one retarget period.
     EXPECT_FALSE(rig.memcon->isLoRef(RowId{5}));
-    EXPECT_EQ(rig.stat("demote.corrected"), 1.0);
-    EXPECT_EQ(rig.stat("retest.scheduled"), 1.0);
+    EXPECT_EQ(rig.events().demotedBy(DemoteCause::Corrected), 1u);
+    EXPECT_EQ(rig.events().retestScheduled, 1u);
     // The controller's cadence follows at the next retarget.
     rig.spin(static_cast<unsigned>(usToTicks(30.0) / rig.timing.tCk));
     EXPECT_LT(rig.mc->refreshReduction(), reduction_before);
@@ -245,10 +241,10 @@ TEST(GracefulDegradation, ChronicCorrectedErrorsPinRowHiRef)
     rig.readRow(5);
     EXPECT_FALSE(rig.memcon->isLoRef(RowId{5}));
     EXPECT_EQ(rig.memcon->pinnedRows(), 1u);
-    EXPECT_EQ(rig.stat("pinned"), 1.0);
+    EXPECT_EQ(rig.events().pinned, 1u);
     rig.spin(600000);
     EXPECT_FALSE(rig.memcon->isLoRef(RowId{5}));
-    EXPECT_EQ(rig.stat("demote.corrected"), 3.0);
+    EXPECT_EQ(rig.events().demotedBy(DemoteCause::Corrected), 3u);
 }
 
 // --- uncorrectable / panic-fallback --------------------------------
@@ -270,7 +266,7 @@ TEST(GracefulDegradation, UncorrectableEntersAndExitsFallback)
     EXPECT_TRUE(rig.memcon->inFallback());
     EXPECT_DOUBLE_EQ(rig.memcon->loRefFraction(), 0.0);
     EXPECT_DOUBLE_EQ(rig.mc->refreshReduction(), 0.0);
-    EXPECT_EQ(rig.stat("fallback.entries"), 1.0);
+    EXPECT_EQ(rig.events().fallbackEntries, 1u);
     EXPECT_EQ(rig.memcon->pinnedRows(), 1u);
 
     // Quiet period: fallback exits and the formerly-LO rows re-earn
@@ -279,7 +275,7 @@ TEST(GracefulDegradation, UncorrectableEntersAndExitsFallback)
     EXPECT_TRUE(rig.spinUntil(
         [&] { return !rig.memcon->inFallback() &&
                      rig.memcon->loRefFraction() > 0.0; }));
-    EXPECT_EQ(rig.stat("fallback.exits"), 1.0);
+    EXPECT_EQ(rig.events().fallbackExits, 1u);
     EXPECT_FALSE(rig.memcon->isLoRef(RowId{3}));
 }
 
@@ -297,7 +293,7 @@ TEST(GracefulDegradation, FallbackDrainsTestSlots)
     };
     rig.readRow(9);
     EXPECT_TRUE(rig.memcon->inFallback());
-    EXPECT_GE(rig.stat("fallback.drained"), 1.0);
+    EXPECT_GE(rig.events().fallbackDrained, 1u);
     EXPECT_GE(rig.memcon->testsAborted(), 1u);
 }
 
@@ -315,8 +311,8 @@ TEST(GracefulDegradation, DisabledLayerOnlyCounts)
     rig.readRow(9);
     // The trusting baseline: events are visible in the stats but the
     // mechanism acts on none of them.
-    EXPECT_GE(rig.stat("ecc.corrected"), 1.0);
-    EXPECT_GE(rig.stat("ecc.uncorrectable"), 1.0);
+    EXPECT_GE(rig.events().eccCorrected, 1u);
+    EXPECT_GE(rig.events().eccUncorrectable, 1u);
     EXPECT_TRUE(rig.memcon->isLoRef(RowId{5}));
     EXPECT_FALSE(rig.memcon->inFallback());
     EXPECT_EQ(rig.memcon->pinnedRows(), 0u);
@@ -342,11 +338,11 @@ TEST(Scrub, DetectsStaleLoRefVerdict)
     condemned = true;
     EXPECT_TRUE(rig.spinUntil(
         [&] { return !rig.memcon->isLoRef(RowId{5}); }));
-    EXPECT_GE(rig.stat("scrub.failed"), 1.0);
-    EXPECT_GE(rig.stat("demote.scrub"), 1.0);
+    EXPECT_GE(rig.events().scrubFailed, 1u);
+    EXPECT_GE(rig.events().demotedBy(DemoteCause::Scrub), 1u);
     // The healthy row is re-affirmed, not demoted.
     EXPECT_TRUE(rig.memcon->isLoRef(RowId{9}));
-    EXPECT_GE(rig.stat("scrub.passed"), 1.0);
+    EXPECT_GE(rig.events().scrubPassed, 1u);
 }
 
 TEST(Scrub, WithoutScrubTheStaleVerdictPersists)
@@ -362,7 +358,7 @@ TEST(Scrub, WithoutScrubTheStaleVerdictPersists)
     condemned = true;
     rig.spin(600000);
     EXPECT_TRUE(rig.memcon->isLoRef(RowId{5}));
-    EXPECT_EQ(rig.stat("scrub.failed"), 0.0);
+    EXPECT_EQ(rig.events().scrubFailed, 0u);
 }
 
 // --- FaultInjector -------------------------------------------------
@@ -396,7 +392,7 @@ TEST(FaultInjectorTest, FaultBudgetCapsInjection)
     for (std::uint64_t row = 0; row < 32; ++row)
         inj.onRead(RowId{row}, msToTicks(10.0), false);
     EXPECT_EQ(inj.injectedFaults(), 5u);
-    EXPECT_GT(inj.stats().value("budgetDropped"), 0.0);
+    EXPECT_GT(inj.budgetDropped(), 0u);
 }
 
 TEST(FaultInjectorTest, SingleBitPersistsUntilRestored)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Robustness and coverage tests across modules: the stats registry,
+ * Robustness and coverage tests across modules: the controller and
+ * mechanism counters,
  * PREA semantics, the controller's starvation guard and test-traffic
  * admission limit, Copy&Compare in the closed loop, geometry
  * validation, and the durable-record discipline (sealed lines,
@@ -11,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "common/checkpoint.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
-#include "common/stats.hh"
 #include "core/online_memcon.hh"
 #include "service/snapshot.hh"
 #include "dram/channel.hh"
@@ -24,23 +25,48 @@ namespace memcon
 namespace
 {
 
-TEST(StatGroup, CountersFormulasAndDump)
+TEST(ControllerStats, ByNameReadMatchesFieldsAndIsFatalOnUnknownName)
 {
-    StatGroup g("grp");
-    g.inc("reads");
-    g.inc("reads", 4);
-    g.set("ipc", 2.5);
-    g.accum("latency", 1.5);
-    g.accum("latency", 2.5);
+    sim::ControllerStats s;
+    s.refresh = 7;
+    s.queueFull = 1;
+    s.enqueuedReads = 2;
+    s.enqueuedWrites = 3;
+    s.completedReads = 4;
+    s.completedWrites = 5;
+    s.eccCorrected = 6;
+    EXPECT_EQ(s.value("refresh"), 7.0);
+    EXPECT_EQ(s.value("queueFull"), 1.0);
+    EXPECT_EQ(s.value("enq.read"), 2.0);
+    EXPECT_EQ(s.value("enq.write"), 3.0);
+    EXPECT_EQ(s.value("completed.read"), 4.0);
+    EXPECT_EQ(s.value("completed.write"), 5.0);
+    EXPECT_EQ(s.value("ecc.corrected"), 6.0);
+    // A misspelled name must not read as a silent zero.
+    EXPECT_EXIT(s.value("refrsh"), ::testing::ExitedWithCode(1),
+                "unknown controller counter 'refrsh'");
+}
 
-    EXPECT_DOUBLE_EQ(g.value("reads"), 5.0);
-    EXPECT_DOUBLE_EQ(g.value("ipc"), 2.5);
-    EXPECT_DOUBLE_EQ(g.value("latency"), 4.0);
-    EXPECT_DOUBLE_EQ(g.value("missing"), 0.0);
-
-    std::string dump = g.dump();
-    EXPECT_NE(dump.find("grp.reads"), std::string::npos);
-    EXPECT_NE(dump.find("grp.latency"), std::string::npos);
+TEST(MemconEvents, DumpPrintsNonzeroCountsSortedByName)
+{
+    core::MemconEvents ev;
+    EXPECT_EQ(ev.dump(), "");
+    ev.scrubPassed = 2;
+    ev.eccCorrected = 1;
+    ev.demoted[static_cast<std::size_t>(core::DemoteCause::Write)] = 40;
+    ev.demoted[static_cast<std::size_t>(core::DemoteCause::BankDegrade)] =
+        1234567;
+    ev.disturbVictimRefreshes = 3;
+    ev.fallbackDrained = 0; // zero counts are not printed
+    EXPECT_EQ(ev.dump(),
+              strprintf("%-48s 1.23457e+06\n"
+                        "%-48s 40\n"
+                        "%-48s 3\n"
+                        "%-48s 1\n"
+                        "%-48s 2\n",
+                        "memcon.demote.bankDegrade", "memcon.demote.write",
+                        "memcon.disturb.victimRefresh",
+                        "memcon.ecc.corrected", "memcon.scrub.passed"));
 }
 
 TEST(Channel, PreaClosesEveryBank)
@@ -179,7 +205,7 @@ TEST(OnlineMemconModes, CopyAndCompareClosedLoop)
     // the Copy&Compare path: copies written, signatures compared.
     EXPECT_GT(om.testsPassed(), 100u);
     EXPECT_GT(om.loRefFraction(), 0.8);
-    EXPECT_GT(mc.stats().value("enq.write"), 0.0); // copy traffic
+    EXPECT_GT(mc.stats().enqueuedWrites, 0u); // copy traffic
 }
 
 TEST(Geometry, NonPowerOfTwoIsFatal)
@@ -212,8 +238,8 @@ TEST(Energy, StatsDrivenTallyTracksActivity)
         }
     }
     dram::EnergyModel em(dram::PowerParams::ddr3_1600(), timing);
-    auto e = em.fromControllerStats(mc.channel().stats(), mc.stats(),
-                                    now, 0.5);
+    auto e = em.fromControllerStats(mc.channel().commandCounts(),
+                                    mc.stats().refresh, now, 0.5);
     EXPECT_GT(e.actPre, 0.0);
     EXPECT_GT(e.read, 0.0);
     EXPECT_GT(e.write, 0.0);

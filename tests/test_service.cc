@@ -448,14 +448,21 @@ TEST(MemcondService, AccountingIdentityAndLadderUnderOverload)
     EXPECT_EQ(svc.tenant(0).droppedShed(), 0u);
     EXPECT_EQ(svc.tenant(1).droppedShed(), 0u);
 
-    // Telemetry mirrors the counters it claims to export.
-    StatGroup g = svc.tenantTelemetry(3);
-    EXPECT_DOUBLE_EQ(g.value("offered"),
-                     static_cast<double>(svc.tenant(3).generatedCount()));
-    EXPECT_DOUBLE_EQ(g.value("drops.shed"),
-                     static_cast<double>(svc.tenant(3).droppedShed()));
-    EXPECT_DOUBLE_EQ(g.value("applied"),
-                     static_cast<double>(svc.tenant(3).appliedCount()));
+    // The metrics line mirrors the counters it claims to export.
+    const std::string line = svc.metricsLines()[3];
+    const TenantSession &t3 = svc.tenant(3);
+    auto field = [&line](const std::string &key) {
+        const std::size_t at = line.find(" " + key + "=");
+        EXPECT_NE(at, std::string::npos) << key << " missing: " << line;
+        return at == std::string::npos
+                   ? std::string()
+                   : line.substr(at + key.size() + 2,
+                                 line.find(' ', at + 1) - at - key.size() -
+                                     2);
+    };
+    EXPECT_EQ(field("gen"), std::to_string(t3.generatedCount()));
+    EXPECT_EQ(field("app"), std::to_string(t3.appliedCount()));
+    EXPECT_EQ(field("dsh"), std::to_string(t3.droppedShed()));
 
     // Verdict counters reconcile with the rounds planned: one verdict
     // per tenant per round (openSession admits add 4 more).

@@ -80,7 +80,7 @@ TEST_F(ControllerTest, ReadCompletesWithCallback)
     spin(now, 100);
     EXPECT_TRUE(done);
     EXPECT_TRUE(mc->idle());
-    EXPECT_EQ(mc->stats().value("completed.read"), 1.0);
+    EXPECT_EQ(mc->stats().completedReads, 1u);
 }
 
 TEST_F(ControllerTest, QueueCapacityEnforced)
@@ -96,7 +96,7 @@ TEST_F(ControllerTest, QueueCapacityEnforced)
     extra.type = Request::Type::Read;
     extra.addr = 0;
     EXPECT_FALSE(mc->enqueue(std::move(extra), now));
-    EXPECT_EQ(mc->stats().value("queueFull"), 1.0);
+    EXPECT_EQ(mc->stats().queueFull, 1u);
 }
 
 TEST_F(ControllerTest, RowHitFasterThanRowMiss)
@@ -152,7 +152,7 @@ TEST_F(ControllerTest, WritesAreDrainedAndCounted)
     }
     spin(now, 2000);
     EXPECT_TRUE(mc->idle());
-    EXPECT_EQ(mc->stats().value("completed.write"), 8.0);
+    EXPECT_EQ(mc->stats().completedWrites, 8u);
 }
 
 TEST_F(ControllerTest, DemandReadsOutrankTestTraffic)
@@ -208,7 +208,7 @@ TEST_F(ControllerTest, RefreshCadenceMatchesEffectiveTrefi)
     }
     double expected =
         static_cast<double>(horizon / timing.cyc(timing.tREFI));
-    EXPECT_NEAR(m.stats().value("refresh"), expected, 2.0);
+    EXPECT_NEAR(static_cast<double>(m.stats().refresh), expected, 2.0);
 }
 
 /** Refresh-reduction sweep: the REF count scales by 1 - reduction. */
@@ -233,8 +233,8 @@ TEST_P(RefreshReduction, ScalesRefreshCount)
         base.tick(now);
         red.tick(now);
     }
-    double ratio =
-        red.stats().value("refresh") / base.stats().value("refresh");
+    double ratio = static_cast<double>(red.stats().refresh) /
+                   static_cast<double>(base.stats().refresh);
     EXPECT_NEAR(ratio, 1.0 - reduction, 0.02);
 }
 
@@ -340,8 +340,8 @@ TEST(TestTraffic, InjectorPacesTests)
     // 256 tests per 64 ms -> 16 per 4 ms (+/- pipeline slack).
     EXPECT_NEAR(static_cast<double>(src.testsStarted()), 16.0, 2.0);
     // Read&Compare mode issues only reads.
-    EXPECT_EQ(mc.stats().value("enq.write"), 0.0);
-    EXPECT_GT(mc.stats().value("enq.read"), 0.0);
+    EXPECT_EQ(mc.stats().enqueuedWrites, 0u);
+    EXPECT_GT(mc.stats().enqueuedReads, 0u);
 }
 
 TEST(TestTraffic, CopyModeAddsWrites)
@@ -358,7 +358,7 @@ TEST(TestTraffic, CopyModeAddsWrites)
         mc.tick(now);
         src.tick(now);
     }
-    EXPECT_GT(mc.stats().value("enq.write"), 0.0);
+    EXPECT_GT(mc.stats().enqueuedWrites, 0u);
 }
 
 TEST(SystemTest, TestTrafficOverheadIsSmall)
